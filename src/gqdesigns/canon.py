@@ -77,9 +77,7 @@ def design_graph(d: Design) -> ColoredGraph:
     Each distinct block content is one vertex colored by its multiplicity, so
     isomorphism treats instances of a repeated block as interchangeable.
     """
-    counts: dict[tuple[int, ...], int] = {}
-    for blk in d.blocks:
-        counts[blk] = counts.get(blk, 0) + 1
+    counts = d.multiplicities
     contents = sorted(counts)
     v = d.point_count
     edges = []
@@ -278,8 +276,9 @@ def are_isomorphic(a: ColoredGraph, b: ColoredGraph):
         return False, None
     mapping = {ca.order[i]: cb.order[i] for i in range(a.n)}
     for v in range(a.n):
-        assert a.colors[v] == b.colors[mapping[v]]
-        assert {mapping[w] for w in a.adj[v]} == set(b.adj[mapping[v]])
+        if (a.colors[v] != b.colors[mapping[v]]
+                or {mapping[w] for w in a.adj[v]} != set(b.adj[mapping[v]])):
+            raise RuntimeError(f"canonical labelings disagree at vertex {v}")
     return True, mapping
 
 
@@ -300,7 +299,8 @@ def gq_isomorphic(s1: IncidenceStructure, s2: IncidenceStructure,
         return False, None
     point_map = {p: mapping[p] for p in range(s1.point_count)}
     mapped = sorted(tuple(sorted(point_map[p] for p in line)) for line in s1.lines)
-    assert mapped == sorted(s2.lines)
+    if mapped != sorted(s2.lines):
+        raise RuntimeError("point bijection does not carry lines onto lines")
     return True, point_map
 
 
@@ -315,5 +315,6 @@ def designs_isomorphic(d1: Design, d2: Design):
         return False, None
     point_map = {p: mapping[p] for p in range(d1.point_count)}
     mapped = sorted(tuple(sorted(point_map[p] for p in blk)) for blk in d1.blocks)
-    assert mapped == sorted(d2.blocks)
+    if mapped != sorted(d2.blocks):
+        raise RuntimeError("point bijection does not carry blocks onto blocks")
     return True, point_map

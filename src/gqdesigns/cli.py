@@ -17,7 +17,7 @@ from .canon import canonical_form, design_graph, designs_isomorphic, \
     gq_isomorphic, incidence_graph
 from .correspondence import check_regular_traces, design_from_ovoid, \
     detect_replication, gq_from_design, roundtrip_design, roundtrip_gq
-from .field import factor_prime_power
+from .field import field_of_order
 from .fileformats import FormatError, parse_design, parse_incidence, \
     parse_lrs, parse_ovoid, write_design, write_incidence, write_lrs, \
     write_ovoid
@@ -48,12 +48,15 @@ class Report:
         return "".join(f"{k}: {v}\n" for k, v in self.items)
 
 
-def _read_text(path: str) -> str:
+def _read_input(path: str, rep: Report) -> str:
+    """Read an input file and record its sha256 in the report."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
+            text = fh.read()
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc.strerror}") from exc
+    rep.add(f"input.{path}.sha256", hashlib.sha256(text.encode()).hexdigest())
+    return text
 
 
 def _write_text(path: str, text: str, rep: Report, key: str) -> None:
@@ -66,9 +69,7 @@ def _write_text(path: str, text: str, rep: Report, key: str) -> None:
 
 
 def _load(path: str, parser_fn, rep: Report):
-    text = _read_text(path)
-    rep.add(f"input.{path}.sha256", hashlib.sha256(text.encode()).hexdigest())
-    return parser_fn(text, path)
+    return parser_fn(_read_input(path, rep), path)
 
 
 def _sniff(path: str, text: str) -> str:
@@ -110,9 +111,10 @@ def cmd_construct(args, rep: Report) -> int:
             raise UsageError("--with-lrs only applies to --family sprott")
     if args.out is None:
         raise UsageError("construct requires --out")
-    pa = factor_prime_power(q)
-    if pa is None:
-        raise UsageError(f"q = {q} is not a prime power")
+    try:
+        field = field_of_order(q)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
 
     if fam in ("W", "Q4", "H3"):
         maker = {"W": symplectic_gq, "Q4": parabolic_gq, "H3": hermitian_gq}[fam]
@@ -133,8 +135,7 @@ def cmd_construct(args, rep: Report) -> int:
 
     # sprott
     if args.with_lrs:
-        p, a = pa
-        if p != 2 or a < 2:
+        if field.p != 2 or field.a < 2:
             raise UsageError("--with-lrs needs q a power of 2, q >= 4")
         if args.lam is not None and args.lam != q + 2:
             raise UsageError(f"--with-lrs fixes --lambda at q + 2 = {q + 2}")
@@ -151,18 +152,18 @@ def cmd_construct(args, rep: Report) -> int:
 
     if args.lam is None:
         raise UsageError("--family sprott requires --lambda")
-    p, a = pa
-    _, d = sprott_design(p, a, args.lam)
+    _, d = sprott_design(field.p, field.a, args.lam)
     rep.add("lambda", args.lam)
     _report_design(d, rep)
     _write_text(args.out, write_design(d), rep, "output.design")
     return 0
 
 
-def _report_design(d, rep: Report, allow_degenerate: bool = False) -> None:
+def _report_design(d, rep: Report, allow_degenerate: bool = False,
+                   prefix: str = "params") -> None:
     params = verify_bibd(d, allow_degenerate=allow_degenerate)
     for name, val in zip(("v", "b", "r", "k", "lambda"), params):
-        rep.add(f"params.{name}", val)
+        rep.add(f"{prefix}.{name}", val)
 
 
 # --- verify --------------------------------------------------------------
@@ -229,7 +230,7 @@ def cmd_ovoids(args, rep: Report) -> int:
 def cmd_ntlrs(args, rep: Report) -> int:
     d = _load(args.design, parse_design, rep)
     limit = args.limit if args.limit else None
-    result = find_ntlrs(d, limit=limit, budget=_budget(args), seed=args.seed)
+    result = find_ntlrs(d, limit=limit, budget=_budget(args))
     if args.out is not None:
         for i, system in enumerate(result.solutions):
             _write_text(f"{args.out}{i}.lrs", write_lrs(system), rep,
@@ -305,9 +306,7 @@ def cmd_replicated(args, rep: Report) -> int:
         return 1
     base, n = got
     rep.add("multiplicity", n)
-    for name, val in zip(("v", "b", "r", "k", "lambda"),
-                         verify_bibd(base, allow_degenerate=True)):
-        rep.add(f"base.{name}", val)
+    _report_design(base, rep, allow_degenerate=True, prefix="base")
     if args.out is not None:
         _write_text(args.out, write_design(base), rep, "output.design")
     return 0
@@ -344,8 +343,7 @@ def cmd_payne(args, rep: Report) -> int:
 # --- canonical forms -----------------------------------------------------
 
 def _graph_for(path: str, rep: Report, ovoid_path: str | None):
-    text = _read_text(path)
-    rep.add(f"input.{path}.sha256", hashlib.sha256(text.encode()).hexdigest())
+    text = _read_input(path, rep)
     head = _sniff(path, text)
     if head == "inc":
         s = parse_incidence(text, path)
@@ -371,11 +369,8 @@ def cmd_canon(args, rep: Report) -> int:
 def cmd_iso(args, rep: Report) -> int:
     if (args.ovoid_a is None) != (args.ovoid_b is None):
         raise UsageError("give --ovoid-a and --ovoid-b together or not at all")
-    text_a, text_b = _read_text(args.first), _read_text(args.second)
-    rep.add(f"input.{args.first}.sha256",
-            hashlib.sha256(text_a.encode()).hexdigest())
-    rep.add(f"input.{args.second}.sha256",
-            hashlib.sha256(text_b.encode()).hexdigest())
+    text_a = _read_input(args.first, rep)
+    text_b = _read_input(args.second, rep)
     kind_a = _sniff(args.first, text_a)
     kind_b = _sniff(args.second, text_b)
     if kind_a != kind_b:
@@ -407,12 +402,8 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--report", metavar="PATH",
                         help="also write the key/value report to this file")
-    common.add_argument("--seed", type=int, default=0,
-                        help="seed for randomised heuristics (default 0)")
     common.add_argument("--budget", type=float, metavar="SEC",
                         help="wall-clock budget for searches, in seconds")
-    common.add_argument("--threads", type=int, default=1,
-                        help="worker threads (current searches run on one)")
 
     top = argparse.ArgumentParser(
         prog="gqd",

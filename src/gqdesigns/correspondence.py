@@ -5,8 +5,10 @@ blocks are the ovoid neighborhoods of the outside points, together with a
 non-triangular local resolution system read off the line pencils.  Backward: a
 design of matching parameters with such a system becomes a GQ whose points are
 the design points plus the block instances, with the design points forming an
-ovoid.  Both directions re-verify their own output: a postcondition failure
-here means a broken construction, and is raised as a hard internal error.
+ovoid.  Each public map verifies its input once and re-verifies its output
+once; a postcondition failure here means a broken construction, and is raised
+as a hard internal error.  The private builders do no checking, so the round
+trips check each object exactly once.
 """
 
 from __future__ import annotations
@@ -14,9 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .canon import gq_isomorphic
 from .geometry import is_regular_pair, trace_pair
-from .structures import (Design, DesignParams, IncidenceStructure,
+from .structures import (Design, DesignParams, GQParams, IncidenceStructure,
                          LocalResolutionSystem, verify_bibd, verify_gq,
                          verify_lrs, verify_non_triangular, verify_ovoid)
 
@@ -34,23 +35,16 @@ class OvoidLabeledGQ:
     provenance: tuple[tuple[str, int], ...]
 
 
-def design_from_ovoid(s: IncidenceStructure, ovoid,
-                      allow_degenerate: bool = False
-                      ) -> tuple[Design, LocalResolutionSystem]:
-    """Design on the ovoid points with one block per outside point.
-
-    Design point i is the i-th smallest ovoid point; block instance j comes
-    from the j-th smallest point outside the ovoid and collects the ovoid
-    points collinear with it.  Classes about a design point follow the lines
-    through the corresponding ovoid point.  Requires s and t above 1 unless
-    allow_degenerate; output is re-verified (parameters, partitions, and
-    non-triangularity) before return.
-    """
+def _verify_gq_with_ovoid(s: IncidenceStructure, ovoid) -> GQParams:
     params = verify_gq(s)
     verify_ovoid(s, ovoid)
-    if not allow_degenerate and (params.s < 2 or params.t < 2):
+    if params.s < 2 or params.t < 2:
         raise ValueError(f"order {tuple(params)} needs s and t above 1")
+    return params
 
+
+def _design_from_ovoid(s: IncidenceStructure, ovoid
+                       ) -> tuple[Design, LocalResolutionSystem]:
     o_points = sorted(ovoid)
     o_index = {p: i for i, p in enumerate(o_points)}
     o_mask = 0
@@ -70,17 +64,31 @@ def design_from_ovoid(s: IncidenceStructure, ovoid,
         blocks.append(tuple(sorted(blk)))
     design = Design(len(o_points), blocks)
 
+    # an ovoid meets each line only at p, so the rest of the line is outside
     classes_by_point = []
     for p in o_points:
         classes = []
         for j in s.lines_through[p]:
-            cls = [x_index[x] for x in s.lines[j] if x != p]
-            assert len(cls) == len(s.lines[j]) - 1  # the line meets the ovoid only at p
-            classes.append(cls)
+            classes.append([x_index[x] for x in s.lines[j] if x != p])
         classes_by_point.append(classes)
-    system = LocalResolutionSystem(classes_by_point)
+    return design, LocalResolutionSystem(classes_by_point)
 
-    got = verify_bibd(design, allow_degenerate=allow_degenerate)
+
+def design_from_ovoid(s: IncidenceStructure, ovoid
+                      ) -> tuple[Design, LocalResolutionSystem]:
+    """Design on the ovoid points with one block per outside point.
+
+    Design point i is the i-th smallest ovoid point; block instance j comes
+    from the j-th smallest point outside the ovoid and collects the ovoid
+    points collinear with it.  Classes about a design point follow the lines
+    through the corresponding ovoid point.  Requires s and t above 1; output
+    is re-verified (parameters, partitions, and non-triangularity) before
+    return.
+    """
+    params = _verify_gq_with_ovoid(s, ovoid)
+    design, system = _design_from_ovoid(s, ovoid)
+
+    got = verify_bibd(design)
     st = params.s * params.t
     want = DesignParams(1 + st, params.s * (1 + st),
                         (1 + params.t) * params.s, 1 + params.t, 1 + params.t)
@@ -93,7 +101,7 @@ def design_from_ovoid(s: IncidenceStructure, ovoid,
     return design, system
 
 
-def _factor_parameters(params: DesignParams, allow_degenerate: bool) -> tuple[int, int]:
+def _factor_parameters(params: DesignParams) -> tuple[int, int]:
     t = params.k - 1
     if params.lam != params.k:
         raise ValueError(
@@ -101,13 +109,24 @@ def _factor_parameters(params: DesignParams, allow_degenerate: bool) -> tuple[in
     if t < 1 or (params.v - 1) % t:
         raise ValueError(f"no integer order fits v={params.v}, k={params.k}")
     s_order = (params.v - 1) // t
-    if not allow_degenerate and (s_order < 2 or t < 2):
+    if s_order < 2 or t < 2:
         raise ValueError(f"order ({s_order},{t}) needs s and t above 1")
     return s_order, t
 
 
-def gq_from_design(d: Design, system: LocalResolutionSystem,
-                   allow_degenerate: bool = False) -> OvoidLabeledGQ:
+def _gq_from_design(d: Design, system: LocalResolutionSystem) -> OvoidLabeledGQ:
+    v = d.point_count
+    lines = []
+    for p in range(v):
+        for cls in system.classes[p]:
+            lines.append((p,) + tuple(v + j for j in sorted(cls)))
+    structure = IncidenceStructure(v + len(d.blocks), lines)
+    provenance = tuple(("design-point", i) for i in range(v))
+    provenance += tuple(("instance", j) for j in range(len(d.blocks)))
+    return OvoidLabeledGQ(structure, frozenset(range(v)), provenance)
+
+
+def gq_from_design(d: Design, system: LocalResolutionSystem) -> OvoidLabeledGQ:
     """Quadrangle whose points are the design points then the block instances.
 
     Each parallel class about point p becomes a line carrying p and the class
@@ -115,43 +134,31 @@ def gq_from_design(d: Design, system: LocalResolutionSystem,
     ovoid.  Inputs must verify as a BIBD with v = 1 + st, k = lam = 1 + t and
     a non-triangular system; the output is re-verified before return.
     """
-    params = verify_bibd(d, allow_degenerate=allow_degenerate)
-    s_order, t = _factor_parameters(params, allow_degenerate)
+    s_order, t = _factor_parameters(verify_bibd(d))
     verify_lrs(d, system)
     witness = verify_non_triangular(d, system)
     if witness is not None:
         raise ValueError(f"system has a triangle about points {witness.points}: "
                          f"instances {witness.blocks}")
 
-    v = d.point_count
-    lines = []
-    for p in range(v):
-        for cls in system.classes[p]:
-            lines.append((p,) + tuple(v + j for j in sorted(cls)))
-    structure = IncidenceStructure(v + len(d.blocks), lines)
-    ovoid = frozenset(range(v))
-
-    got = verify_gq(structure)
+    labeled = _gq_from_design(d, system)
+    got = verify_gq(labeled.structure)
     if got != (s_order, t):
         raise RuntimeError(f"derived structure has order {tuple(got)}, "
                            f"expected ({s_order},{t})")
-    verify_ovoid(structure, ovoid)
-    provenance = tuple(("design-point", i) for i in range(v))
-    provenance += tuple(("instance", j) for j in range(len(d.blocks)))
-    return OvoidLabeledGQ(structure, ovoid, provenance)
+    verify_ovoid(labeled.structure, labeled.ovoid)
+    return labeled
 
 
-def roundtrip_design(d: Design, system: LocalResolutionSystem,
-                     allow_degenerate: bool = False) -> bool:
+def roundtrip_design(d: Design, system: LocalResolutionSystem) -> bool:
     """Whether design -> quadrangle -> design reproduces blocks and classes.
 
     The reconstruction maps design point i to itself and instance j to the
     outside point v + j, so the comparison is direct: equal block multisets
     and equal class partitions at every point.
     """
-    labeled = gq_from_design(d, system, allow_degenerate=allow_degenerate)
-    back_design, back_system = design_from_ovoid(
-        labeled.structure, labeled.ovoid, allow_degenerate=allow_degenerate)
+    labeled = gq_from_design(d, system)
+    back_design, back_system = _design_from_ovoid(labeled.structure, labeled.ovoid)
     if back_design.point_count != d.point_count:
         return False
     if sorted(back_design.blocks) != sorted(d.blocks):
@@ -162,17 +169,22 @@ def roundtrip_design(d: Design, system: LocalResolutionSystem,
     return True
 
 
-def roundtrip_gq(s: IncidenceStructure, ovoid,
-                 allow_degenerate: bool = False) -> bool:
+def roundtrip_gq(s: IncidenceStructure, ovoid) -> bool:
     """Whether quadrangle -> design -> quadrangle lands back on the input.
 
-    The rebuilt structure is compared through ovoid-colored canonical forms,
-    so the ovoid must map onto the original ovoid.
+    The rebuilt structure is accepted only when provenance_bijection, the
+    point map both constructions define, is a bijection onto the points of s
+    that sends the rebuilt lines onto the lines of s and the rebuilt ovoid
+    onto the given ovoid: an explicit isomorphism witness.
     """
-    design, system = design_from_ovoid(s, ovoid, allow_degenerate=allow_degenerate)
-    labeled = gq_from_design(design, system, allow_degenerate=allow_degenerate)
-    ok, _ = gq_isomorphic(labeled.structure, s, labeled.ovoid, frozenset(ovoid))
-    return ok
+    design, system = design_from_ovoid(s, ovoid)
+    labeled = _gq_from_design(design, system)
+    mapping = provenance_bijection(s, ovoid, labeled)
+    lines = sorted(tuple(sorted(mapping[p] for p in line))
+                   for line in labeled.structure.lines)
+    return (sorted(mapping.values()) == list(range(s.point_count))
+            and lines == sorted(s.lines)
+            and {mapping[p] for p in labeled.ovoid} == set(ovoid))
 
 
 def provenance_bijection(s: IncidenceStructure, ovoid,
@@ -182,8 +194,9 @@ def provenance_bijection(s: IncidenceStructure, ovoid,
     Design point i returns to the i-th smallest ovoid point; instance j to the
     j-th smallest outside point.
     """
-    o_points = sorted(ovoid)
-    outside = [x for x in range(s.point_count) if x not in set(ovoid)]
+    o_set = frozenset(ovoid)
+    o_points = sorted(o_set)
+    outside = [x for x in range(s.point_count) if x not in o_set]
     mapping = {}
     for i, (kind, idx) in enumerate(labeled.provenance):
         mapping[i] = o_points[idx] if kind == "design-point" else outside[idx]
@@ -210,8 +223,7 @@ class RegularTraceReport:
 
 
 def check_regular_traces(s: IncidenceStructure, ovoid) -> RegularTraceReport:
-    params = verify_gq(s)
-    verify_ovoid(s, ovoid)
+    params = _verify_gq_with_ovoid(s, ovoid)
     o_set = frozenset(ovoid)
     o_points = sorted(o_set)
     o_index = {p: i for i, p in enumerate(o_points)}
@@ -238,10 +250,7 @@ def check_regular_traces(s: IncidenceStructure, ovoid) -> RegularTraceReport:
         if found is not None:
             witnesses[x] = found
 
-    design, _ = design_from_ovoid(s, o_set)
-    counts: dict[tuple[int, ...], int] = {}
-    for blk in design.blocks:
-        counts[blk] = counts.get(blk, 0) + 1
+    counts = _design_from_ovoid(s, o_set)[0].multiplicities
     blocks_replicated = all(c == 1 + params.t for c in counts.values())
     blocks_are_traces = all(frozenset(blk) in trace_images for blk in counts)
     return RegularTraceReport(failed is None, witnesses, failed,
@@ -255,9 +264,7 @@ def detect_replication(d: Design) -> Optional[tuple[Design, int]]:
     deduplicated design and n; otherwise None.
     """
     verify_bibd(d, allow_degenerate=True)
-    counts: dict[tuple[int, ...], int] = {}
-    for blk in d.blocks:
-        counts[blk] = counts.get(blk, 0) + 1
+    counts = d.multiplicities
     mults = set(counts.values())
     if len(mults) != 1:
         return None

@@ -228,3 +228,11 @@ def make_field(p: int, a: int) -> Field:
             exp, log = tables
             return Field(p, a, tuple(low) + (1,), exp, log)
     raise RuntimeError(f"no primitive polynomial of degree {a} over GF({p})")  # unreachable
+
+
+def field_of_order(q: int) -> Field:
+    """GF(q); raises ValueError when q is not a prime power."""
+    pa = factor_prime_power(q)
+    if pa is None:
+        raise ValueError(f"order {q} is not a prime power")
+    return make_field(*pa)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from itertools import product
 
-from .field import Field, factor_prime_power, make_field
+from .field import Field, field_of_order, make_field
 from .structures import IncidenceStructure, verify_gq
 
 
@@ -44,19 +44,12 @@ def _line_points(f: Field, u: tuple[int, ...], w: tuple[int, ...]) -> list[tuple
     return pts
 
 
-def _field_for_order(q: int) -> Field:
-    pa = factor_prime_power(q)
-    if pa is None:
-        raise ValueError(f"order {q} is not a prime power")
-    return make_field(*pa)
-
-
 def symplectic_gq(q: int) -> IncidenceStructure:
     """Points of PG(3,q) with the totally isotropic lines of a symplectic form.
 
     The form is x0*y1 - x1*y0 + x2*y3 - x3*y2.  Order (q, q).
     """
-    f = _field_for_order(q)
+    f = field_of_order(q)
     pts = _projective_points(f, 4)
     index = {p: i for i, p in enumerate(pts)}
 
@@ -81,7 +74,7 @@ def parabolic_gq(q: int) -> IncidenceStructure:
 
     Order (q, q); lines are the projective lines fully contained in the quadric.
     """
-    f = _field_for_order(q)
+    f = field_of_order(q)
     on_quadric = []
     for p in _projective_points(f, 5):
         lhs = f.mul(p[0], p[0])
@@ -102,11 +95,8 @@ def parabolic_gq(q: int) -> IncidenceStructure:
 def hermitian_gq(q: int) -> IncidenceStructure:
     """Points and lines of the surface x0^(q+1) + x1^(q+1) + x2^(q+1) + x3^(q+1) = 0
     in PG(3, q^2).  Order (q^2, q)."""
-    pa = factor_prime_power(q)
-    if pa is None:
-        raise ValueError(f"order {q} is not a prime power")
-    p, a = pa
-    f = make_field(p, 2 * a)
+    base = field_of_order(q)
+    f = make_field(base.p, 2 * base.a)
     on_surface = []
     for pt in _projective_points(f, 4):
         acc = 0

@@ -328,15 +328,13 @@ def find_local_resolutions(design: Design, point: int,
 
 
 def find_ntlrs(design: Design, limit: Optional[int] = None,
-               budget: Optional[Budget] = None, seed: int = 0) -> SearchResult:
+               budget: Optional[Budget] = None) -> SearchResult:
     """Non-triangular local resolution systems of a verified BIBD.
 
     Builds one point at a time in ascending point order, keeping the running
     co-class graph triangle-clean, so every emitted system is non-triangular
-    by construction (and re-verified before it is returned).  The seed is
-    accepted for interface stability; the search itself is deterministic.
+    by construction (and re-verified before it is returned).
     """
-    del seed  # deterministic heuristics need no randomness yet
     params = verify_bibd(design)
     if limit is not None and limit < 1:
         raise ValueError("limit must be positive")
@@ -352,7 +350,8 @@ def find_ntlrs(design: Design, limit: Optional[int] = None,
             system = LocalResolutionSystem(chosen)
             verify_lrs(design, system)
             witness = verify_non_triangular(design, system)
-            assert witness is None  # guaranteed by incremental pruning
+            if witness is not None:  # incremental pruning should rule this out
+                raise RuntimeError(f"search emitted a triangular system: {witness}")
             systems.append(system)
             if limit is not None and len(systems) >= limit:
                 raise _Stop(False)

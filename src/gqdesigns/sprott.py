@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .field import Field, make_field
+from .field import Field, field_of_order, make_field
 from .structures import Design, LocalResolutionSystem
 
 
@@ -67,7 +67,7 @@ def affine_plane(q: int) -> Design:
 
     Slope lines y = m*x + c come first (m ascending, then c), verticals last.
     """
-    f = make_field(*_prime_power(q))
+    f = field_of_order(q)
     blocks = []
     for m in f.elements():
         for c in f.elements():
@@ -84,14 +84,6 @@ def replicate(d: Design, n: int) -> Design:
     return Design(d.point_count, [b for b in d.blocks for _ in range(n)])
 
 
-def _prime_power(q: int):
-    from .field import factor_prime_power
-    pa = factor_prime_power(q)
-    if pa is None:
-        raise ValueError(f"order {q} is not a prime power")
-    return pa
-
-
 def sprott_lrs(q: int) -> tuple[Design, LocalResolutionSystem]:
     """Explicit non-triangular local resolution system for the family with
     v = q^2 and block size q + 2, where q is a power of 2, q >= 4.
@@ -101,11 +93,9 @@ def sprott_lrs(q: int) -> tuple[Design, LocalResolutionSystem]:
     block (0, 1, x^(q-1) + 1, ..., x^(q(q-1)) + 1).  Classes about any other
     point v are the translates by v of the classes about 0.
     """
-    from .field import factor_prime_power
-    pa = factor_prime_power(q)
-    if pa is None or pa[0] != 2 or q < 4:
+    if q < 4 or q & (q - 1):
         raise ValueError(f"need a power of 2 with q >= 4, got {q}")
-    fam, design = sprott_design(2, 2 * pa[1], q + 2)
+    fam, design = sprott_design(2, 2 * (q.bit_length() - 1), q + 2)
     f = fam.field
     qq = f.q  # q^2 points
     m = fam.m  # equals q - 1

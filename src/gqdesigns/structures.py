@@ -7,6 +7,7 @@ pass/fail without evidence.  Point and line indices are 0-based everywhere.
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import cached_property
 from typing import Iterable, NamedTuple, Optional, Sequence
 
@@ -152,6 +153,11 @@ class Design(IncidenceStructure):
     @property
     def blocks(self) -> tuple[tuple[int, ...], ...]:
         return self.lines
+
+    @cached_property
+    def multiplicities(self) -> dict[tuple[int, ...], int]:
+        """Number of instances of each distinct block content."""
+        return dict(Counter(self.lines))
 
     def __repr__(self):
         return f"Design({self.point_count} points, {len(self.lines)} blocks)"

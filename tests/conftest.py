@@ -1,13 +1,32 @@
 """Shared small structures used as oracles across the test modules."""
 
 import functools
+import os
+from pathlib import Path
 
 import pytest
 
+import gqdesigns
 from gqdesigns.geometry import payne_derivation, symplectic_gq
 from gqdesigns.search import find_ovoids
 from gqdesigns.sprott import affine_plane, replicate, sprott_lrs
 from gqdesigns.structures import Design, IncidenceStructure, dual
+
+
+# The directory holding the gqdesigns package this process imported. Child
+# processes run with another working directory, so a relative PYTHONPATH entry
+# would not find it there; put this absolute path first, so a child runs the
+# same code as the in-process tests, and keep any inherited entries after it,
+# each made absolute.
+PACKAGE_ROOT = Path(gqdesigns.__file__).resolve().parent.parent
+
+
+def child_env() -> dict:
+    env = dict(os.environ)
+    inherited = [str(Path(p).resolve())
+                 for p in env.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env["PYTHONPATH"] = os.pathsep.join([str(PACKAGE_ROOT), *inherited])
+    return env
 
 
 def grid_3x3() -> IncidenceStructure:

@@ -1,8 +1,14 @@
+import dataclasses
 import random
 import re
+import subprocess
+import sys
+from pathlib import Path
+from unittest import mock
 
 import pytest
 
+from gqdesigns import canon
 from gqdesigns.canon import (
     ColoredGraph,
     are_isomorphic,
@@ -17,7 +23,7 @@ from gqdesigns.geometry import parabolic_gq, symplectic_gq
 from gqdesigns.sprott import affine_plane, replicate, sprott_design
 from gqdesigns.structures import Design, IncidenceStructure, dual
 
-from conftest import fano_incidence, grid_3x3
+from conftest import child_env, fano_design, fano_incidence, grid_3x3
 
 
 # ---------------------------------------------------------
@@ -197,3 +203,52 @@ def test_incidence_vs_networkx_on_small_corpus(w2):
     ours = gq_isomorphic(grid_3x3(), dual(grid_3x3()))[0]
     theirs = next(_line_preserving_maps(grid_3x3(), dual(grid_3x3())), None)
     assert ours is False and theirs is None
+
+
+# ---------------------------------------------------------
+# Witness postconditions
+# ---------------------------------------------------------
+
+def check_wrong_witnesses_raise():
+    """Each isomorphism decision raises when handed a wrong bijection.
+
+    Rotating a canonical labeling keeps the certificate but moves a vertex of
+    one color onto a position of another.  Swapping points 0 and 1 is no
+    automorphism of W(2) or of the Fano plane.  Also run under python -O,
+    where assert statements vanish.
+    """
+    w2 = symplectic_gq(2)
+    a, b = incidence_graph(w2), incidence_graph(w2)
+
+    def rotated_for_b(g):
+        form = canonical_form(g)
+        if g is b:
+            form = dataclasses.replace(form, order=form.order[1:] + form.order[:1])
+        return form
+
+    with mock.patch.object(canon, "canonical_form", rotated_for_b):
+        with pytest.raises(RuntimeError):
+            are_isomorphic(a, b)
+    cases = [(gq_isomorphic, w2, w2.point_count + len(w2.lines)),
+             (designs_isomorphic, fano_design(), 14)]
+    for decide, x, n in cases:
+        swap = {v: v for v in range(n)}
+        swap[0], swap[1] = 1, 0
+        with mock.patch.object(canon, "are_isomorphic", return_value=(True, swap)):
+            with pytest.raises(RuntimeError):
+                decide(x, x)
+
+
+def test_wrong_witnesses_raise():
+    check_wrong_witnesses_raise()
+
+
+def test_wrong_witnesses_raise_under_optimize():
+    code = ("import sys, test_canon, test_search\n"
+            "if __debug__: sys.exit('assertions are still on')\n"
+            "test_canon.check_wrong_witnesses_raise()\n"
+            "test_search.check_triangular_result_raises()\n")
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          cwd=Path(__file__).parent, env=child_env(),
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

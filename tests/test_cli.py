@@ -1,11 +1,8 @@
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
-import gqdesigns
 from gqdesigns.fileformats import (
     parse_design,
     parse_incidence,
@@ -16,23 +13,7 @@ from gqdesigns.fileformats import (
 )
 from gqdesigns.structures import DesignParams, GQParams, verify_bibd, verify_gq
 
-from conftest import FANO_BLOCKS
-
-
-# The directory holding the gqdesigns package this process imported. The
-# child processes below run with another working directory, so a relative
-# PYTHONPATH entry would not find it there; put this absolute path first, so
-# the CLI runs the same code as the in-process tests, and keep any inherited
-# entries after it, each made absolute.
-PACKAGE_ROOT = Path(gqdesigns.__file__).resolve().parent.parent
-
-
-def child_env() -> dict:
-    env = dict(os.environ)
-    inherited = [str(Path(p).resolve())
-                 for p in env.get("PYTHONPATH", "").split(os.pathsep) if p]
-    env["PYTHONPATH"] = os.pathsep.join([str(PACKAGE_ROOT), *inherited])
-    return env
+from conftest import FANO_BLOCKS, child_env
 
 
 def run(*args, cwd):
@@ -275,7 +256,10 @@ def test_report_file_matches_stdout(w2_file, tmp_path):
     assert (tmp_path / "r.txt").read_text() == proc.stdout
 
 
-def test_threads_and_seed_are_accepted(w2_file, tmp_path):
-    proc = run("ovoids", "w2.inc", "--seed", "5", "--threads", "4",
-               cwd=tmp_path)
-    assert proc.returncode == 0
+def test_threads_and_seed_are_rejected(w2_file, tmp_path):
+    # both options were removed: no search read the seed, and every search
+    # ran on one thread whatever --threads said
+    for option in (("--seed", "5"), ("--threads", "4")):
+        proc = run("ovoids", "w2.inc", *option, cwd=tmp_path)
+        assert proc.returncode == 2, option
+        assert "unrecognized arguments" in proc.stderr

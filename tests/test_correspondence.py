@@ -1,9 +1,13 @@
+import contextlib
 import itertools
+from unittest import mock
 
 import pytest
 
+from gqdesigns import canon, correspondence
 from gqdesigns.canon import designs_isomorphic, gq_isomorphic
 from gqdesigns.correspondence import (
+    OvoidLabeledGQ,
     check_regular_traces,
     design_from_ovoid,
     detect_replication,
@@ -12,11 +16,13 @@ from gqdesigns.correspondence import (
     roundtrip_design,
     roundtrip_gq,
 )
+from gqdesigns.geometry import hermitian_gq, parabolic_gq
 from gqdesigns.search import find_ovoids, find_ntlrs
 from gqdesigns.sprott import affine_plane, replicate, sprott_design
 from gqdesigns.structures import (
     Design,
     DesignParams,
+    IncidenceStructure,
     LocalResolutionSystem,
     VerificationError,
     verify_bibd,
@@ -141,6 +147,52 @@ def test_roundtrip_from_the_design_side(sprott4):
 def test_roundtrip_from_the_quadrangle_side(w2, w2_ovoids):
     for o in w2_ovoids:
         assert roundtrip_gq(w2, o)
+
+
+def test_roundtrip_gq_needs_no_canonical_form(w2, w2_ovoids):
+    # the provenance bijection is the isomorphism witness; no search for one
+    cases = [(w2, o) for o in w2_ovoids]
+    for s in (parabolic_gq(3), hermitian_gq(2)):
+        cases.append((s, find_ovoids(s, limit=1).solutions[0]))
+    with mock.patch.object(canon, "canonical_form",
+                           side_effect=AssertionError("canon was called")):
+        for s, o in cases:
+            assert roundtrip_gq(s, o)
+
+
+def test_roundtrip_gq_rejects_a_damaged_back_map(w2, w2_ovoids):
+    # the back map swaps the first two instances, GQ points v and v + 1
+    real = correspondence._gq_from_design
+
+    def damaged(d, system):
+        labeled = real(d, system)
+        v = d.point_count
+        swap = {v: v + 1, v + 1: v}
+        lines = [[swap.get(p, p) for p in line] for line in labeled.structure.lines]
+        structure = IncidenceStructure(labeled.structure.point_count, lines)
+        return OvoidLabeledGQ(structure, labeled.ovoid, labeled.provenance)
+
+    with mock.patch.object(correspondence, "_gq_from_design", damaged):
+        for o in w2_ovoids:
+            assert not roundtrip_gq(w2, o)
+
+
+def test_each_verifier_runs_once_per_call(w2, w2_ovoids, sprott4):
+    names = ["verify_gq", "verify_ovoid", "verify_bibd", "verify_lrs",
+             "verify_non_triangular"]
+    # input_check names the verifier that checks each call's input
+    calls = [(roundtrip_design, sprott4, "verify_bibd"),
+             (roundtrip_gq, (w2, w2_ovoids[0]), "verify_gq"),
+             (check_regular_traces, (w2, w2_ovoids[0]), "verify_gq")]
+    for fn, args, input_check in calls:
+        with contextlib.ExitStack() as stack:
+            mocks = {name: stack.enter_context(mock.patch.object(
+                         correspondence, name, wraps=getattr(correspondence, name)))
+                     for name in names}
+            fn(*args)
+        counts = {name: m.call_count for name, m in mocks.items()}
+        assert max(counts.values()) <= 1, (fn.__name__, counts)
+        assert counts[input_check] == 1, (fn.__name__, counts)
 
 
 def test_roundtrip_through_found_systems(tripled_plane):

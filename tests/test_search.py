@@ -1,8 +1,10 @@
 import itertools
 import random
+from unittest import mock
 
 import pytest
 
+from gqdesigns import search
 from gqdesigns.search import (
     Budget,
     ExactCoverInstance,
@@ -15,6 +17,7 @@ from gqdesigns.search import (
 from gqdesigns.sprott import affine_plane, replicate, sprott_design, sprott_lrs
 from gqdesigns.structures import (
     LrsError,
+    TriangleWitness,
     verify_lrs,
     verify_non_triangular,
     verify_ovoid,
@@ -199,9 +202,25 @@ def test_sprott_16_4_has_a_system():
 
 
 def test_search_determinism(tripled_plane):
-    a = find_ntlrs(tripled_plane, limit=1, seed=0)
-    b = find_ntlrs(tripled_plane, limit=1, seed=99)
+    a = find_ntlrs(tripled_plane, limit=1)
+    b = find_ntlrs(tripled_plane, limit=1)
+    assert a.solutions
     assert a.solutions == b.solutions
+
+
+def check_triangular_result_raises():
+    """find_ntlrs refuses to return a system its final check finds triangular.
+
+    Also run under python -O, where assert statements vanish.
+    """
+    triangle = TriangleWitness((0, 1, 2), (0, 1, 2))
+    with mock.patch.object(search, "verify_non_triangular", return_value=triangle):
+        with pytest.raises(RuntimeError):
+            find_ntlrs(replicate(affine_plane(3), 3), limit=1)
+
+
+def test_triangular_result_raises():
+    check_triangular_result_raises()
 
 
 def test_time_budget_reported():

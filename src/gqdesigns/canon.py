@@ -4,8 +4,19 @@ The engine is individualization-refinement: refine an ordered partition to
 equitability, branch on one vertex of the first smallest non-singleton cell,
 and keep the lexicographically least (refinement trace, relabeled adjacency)
 over all leaves.  Subtrees whose trace already compares worse than the best
-leaf are cut, as are branch vertices equivalent under automorphisms found at
-earlier leaves.
+leaf are cut.  Automorphisms prune the rest, as in McKay & Piperno,
+"Practical graph isomorphism, II" (J. Symb. Comput. 60, 2014):
+
+* a leaf equal to the first leaf or to the best leaf gives an automorphism;
+* each node merges the automorphisms that fix its path pointwise into its
+  child orbits as soon as they are found, and skips every child in the orbit
+  of one already searched;
+* after a new automorphism the search jumps back to the node where the
+  current path leaves the path of the matched leaf, because the subtree
+  below is the image of one already searched.
+
+None of these cuts a leaf better than the kept best, so the canonical form
+does not depend on them.
 
 Incidence structures and designs enter as colored bipartite graphs; repeated
 blocks collapse to one vertex colored by multiplicity, which keeps huge
@@ -16,9 +27,10 @@ from __future__ import annotations
 
 import hashlib
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from typing import Iterable, Optional
 
+from .search import Budget, _Meter, _Stop
 from .structures import Design, IncidenceStructure
 
 
@@ -27,6 +39,30 @@ class ColoredGraph:
     n: int
     adj: tuple[frozenset[int], ...]
     colors: tuple[tuple[int, int], ...]
+
+
+@dataclass
+class CanonStats:
+    """What one canonical-form search did."""
+
+    nodes: int = 0         # search nodes entered, the root and leaves included
+    leaves: int = 0        # discrete partitions reached
+    generators: int = 0    # automorphisms found
+    orbit_prunes: int = 0  # children skipped as images of a searched sibling
+    jumps: int = 0         # nodes left early after a new automorphism
+    refines: int = 0       # refinements to equitability
+
+    def add(self, other: "CanonStats") -> None:
+        for f in fields(self):
+            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
+
+
+class BudgetExceeded(Exception):
+    """A canonical-form search ran out of budget; no form is returned."""
+
+    def __init__(self, stats: CanonStats):
+        super().__init__("canonical form cut by its budget")
+        self.stats = stats
 
 
 @dataclass(frozen=True)
@@ -38,6 +74,7 @@ class CanonicalForm:
     rows: tuple[tuple[int, ...], ...]    # neighbor positions at each position
     order: tuple[int, ...]               # canonical position -> input vertex
     digest: str
+    stats: CanonStats = field(compare=False)
 
     def key(self):
         return (self.size, self.colors, self.rows)
@@ -175,31 +212,46 @@ class _Find:
             self.parent[ra] = rb
 
 
-def canonical_form(g: ColoredGraph) -> CanonicalForm:
+def canonical_form(g: ColoredGraph,
+                   budget: Optional[Budget] = None) -> CanonicalForm:
+    """Canonical labeling of g; raises BudgetExceeded if the budget runs out.
+
+    The budget is ticked once per search node, and its clock is read at
+    every node, since each node costs a full refinement.
+    """
     n = g.n
     adj = g.adj
+    stats = CanonStats()
+    meter = _Meter(budget, every=1)
     by_color: dict[tuple[int, int], list[int]] = {}
     for vtx in range(n):
         by_color.setdefault(g.colors[vtx], []).append(vtx)
     cells0 = [by_color[key] for key in sorted(by_color)]
     trace0: list[int] = []
     _refine(adj, cells0, trace0)
+    stats.refines += 1
 
-    best: Optional[tuple[tuple[int, ...], tuple, tuple[int, ...]]] = None
+    # a leaf is (trace, rows, order, path)
+    first: Optional[tuple] = None
+    best: Optional[tuple] = None
     version = 0
-    gens: list[tuple[int, ...]] = []
+    gens: list[list[int]] = []
 
     # tight means the trace so far is an exact prefix of the best leaf's
     # trace; only then can the new segment rule a subtree in or out.  A best
     # found below the current node restores tightness for later siblings.
+    # Returns the depth at which the search resumes: len(path) normally, less
+    # when a new automorphism shows that the subtree there was searched.
     def rec(cells: list[list[int]], trace: list[int], base: int,
-            tight: bool, path: list[int]) -> None:
-        nonlocal best, version
+            tight: bool, path: list[int]) -> int:
+        nonlocal best, first, version
+        meter.tick()
+        depth = len(path)
         if best is not None and tight:
             seg = tuple(trace[base:])
             ref = best[0][base:base + len(seg)]
             if seg > ref:
-                return
+                return depth
             if seg < ref:
                 tight = False
         target = -1
@@ -209,29 +261,51 @@ def canonical_form(g: ColoredGraph) -> CanonicalForm:
                 target = i
                 size = len(cell)
         if target < 0:
+            stats.leaves += 1
             rows, order = _leaf(adj, cells)
             tr = tuple(trace)
             if best is None or not tight or len(tr) < len(best[0]) or rows < best[1]:
-                best = (tr, rows, order)
+                best = (tr, rows, order, tuple(path))
+                if first is None:
+                    first = best
                 version += 1
-            elif len(tr) == len(best[0]) and rows == best[1]:
-                perm = [0] * n
-                for i in range(n):
-                    perm[best[2][i]] = order[i]
-                if any(perm[v] != v for v in range(n)):
-                    gens.append(tuple(perm))
-            return
+                return depth
+            if len(tr) == len(best[0]) and rows == best[1]:
+                match = best
+            elif tr == first[0] and rows == first[1]:
+                match = first
+            else:
+                return depth
+            # the matched leaf was found in an earlier sibling subtree of the
+            # node where the two paths part; the map fixes the path there
+            perm = [0] * n
+            for i in range(n):
+                perm[match[2][i]] = order[i]
+            gens.append(perm)
+            stats.generators += 1
+            other = match[3]
+            k = 0
+            while path[k] == other[k]:
+                k += 1
+            return k
         uf = _Find(n)
-        for gen in gens:
-            if all(gen[x] == x for x in path):
-                for v in range(n):
-                    uf.union(v, gen[v])
-        seen: set[int] = set()
+        merged = 0
+        searched: list[int] = []
+        roots: set[int] = set()
         for v in cells[target]:
+            if merged < len(gens):
+                for gen in gens[merged:]:
+                    if all(gen[x] == x for x in path):
+                        for u in range(n):
+                            uf.union(u, gen[u])
+                merged = len(gens)
+                roots = {uf.find(u) for u in searched}
             root = uf.find(v)
-            if root in seen:
+            if root in roots:
+                stats.orbit_prunes += 1
                 continue
-            seen.add(root)
+            roots.add(root)
+            searched.append(v)
             child = []
             fresh = None
             for cell in cells:
@@ -246,32 +320,52 @@ def canonical_form(g: ColoredGraph) -> CanonicalForm:
             child_trace.append(-2)
             child_trace.append(target)
             _refine(adj, child, child_trace, work_init=fresh)
+            stats.refines += 1
             here = version
             path.append(v)
-            rec(child, child_trace, len(trace), tight, path)
+            resume = rec(child, child_trace, len(trace), tight, path)
             path.pop()
+            if resume < depth:
+                stats.jumps += 1
+                return resume
             if version != here:
                 tight = True
+        return depth
 
-    rec(cells0, trace0, 0, True, [])
-    assert best is not None
-    _, rows, order = best
+    try:
+        rec(cells0, trace0, 0, True, [])
+    except _Stop:
+        raise BudgetExceeded(stats) from None
+    finally:
+        stats.nodes = meter.nodes
+    _, rows, order, _ = best
     colors = tuple(g.colors[v] for v in order)
     payload = f"{n};{colors!r};{rows!r}".encode()
     digest = hashlib.sha256(payload).hexdigest()
-    return CanonicalForm(n, colors, rows, order, digest)
+    return CanonicalForm(n, colors, rows, order, digest, stats)
 
 
-def are_isomorphic(a: ColoredGraph, b: ColoredGraph):
+def are_isomorphic(a: ColoredGraph, b: ColoredGraph,
+                   budget: Optional[Budget] = None,
+                   stats: Optional[CanonStats] = None):
     """Color-preserving graph isomorphism; returns (flag, vertex bijection).
 
     The bijection comes from aligning canonical labelings and is then checked
-    edge by edge before being handed back.
+    edge by edge before being handed back.  The budget bounds each of the two
+    canonical forms; BudgetExceeded is raised when either runs out.  The
+    counters of both forms, or of as much as ran, are added to stats if given.
     """
     if a.n != b.n or sorted(a.colors) != sorted(b.colors):
         return False, None
-    ca = canonical_form(a)
-    cb = canonical_form(b)
+    total = stats if stats is not None else CanonStats()
+    try:
+        ca = canonical_form(a, budget)
+        total.add(ca.stats)
+        cb = canonical_form(b, budget)
+        total.add(cb.stats)
+    except BudgetExceeded as exc:
+        total.add(exc.stats)
+        raise
     if ca.key() != cb.key():
         return False, None
     mapping = {ca.order[i]: cb.order[i] for i in range(a.n)}
@@ -284,17 +378,20 @@ def are_isomorphic(a: ColoredGraph, b: ColoredGraph):
 
 def gq_isomorphic(s1: IncidenceStructure, s2: IncidenceStructure,
                   ovoid1: Optional[Iterable[int]] = None,
-                  ovoid2: Optional[Iterable[int]] = None):
+                  ovoid2: Optional[Iterable[int]] = None,
+                  budget: Optional[Budget] = None,
+                  stats: Optional[CanonStats] = None):
     """Point-line isomorphism of incidence structures, via their graphs.
 
     Returns (flag, point bijection).  Ovoids, when supplied on both sides,
-    must correspond under the bijection.
+    must correspond under the bijection.  budget and stats are as for
+    are_isomorphic.
     """
     if (ovoid1 is None) != (ovoid2 is None):
         raise ValueError("supply ovoids for both structures or neither")
     g1 = incidence_graph(s1, ovoid1)
     g2 = incidence_graph(s2, ovoid2)
-    ok, mapping = are_isomorphic(g1, g2)
+    ok, mapping = are_isomorphic(g1, g2, budget, stats)
     if not ok:
         return False, None
     point_map = {p: mapping[p] for p in range(s1.point_count)}
@@ -304,13 +401,17 @@ def gq_isomorphic(s1: IncidenceStructure, s2: IncidenceStructure,
     return True, point_map
 
 
-def designs_isomorphic(d1: Design, d2: Design):
+def designs_isomorphic(d1: Design, d2: Design,
+                       budget: Optional[Budget] = None,
+                       stats: Optional[CanonStats] = None):
     """Design isomorphism respecting block multiplicities.
 
     Returns (flag, point bijection); the mapped block multiset is checked
     against the target, so instances of repeated blocks match in number.
+    budget and stats are as for are_isomorphic.
     """
-    ok, mapping = are_isomorphic(design_graph(d1), design_graph(d2))
+    ok, mapping = are_isomorphic(design_graph(d1), design_graph(d2),
+                                 budget, stats)
     if not ok:
         return False, None
     point_map = {p: mapping[p] for p in range(d1.point_count)}

@@ -13,8 +13,8 @@ import hashlib
 import sys
 import time
 
-from .canon import canonical_form, design_graph, designs_isomorphic, \
-    gq_isomorphic, incidence_graph
+from .canon import BudgetExceeded, CanonStats, canonical_form, design_graph, \
+    designs_isomorphic, gq_isomorphic, incidence_graph
 from .correspondence import check_regular_traces, design_from_ovoid, \
     detect_replication, gq_from_design, roundtrip_design, roundtrip_gq
 from .field import field_of_order
@@ -358,11 +358,27 @@ def _graph_for(path: str, rep: Report, ovoid_path: str | None):
     raise FormatError(path, 1, 1, f"unrecognised header {head!r}")
 
 
+def _canon_counts(stats: CanonStats, rep: Report) -> None:
+    rep.add("nodes", stats.nodes)
+    rep.add("leaves", stats.leaves)
+    rep.add("generators", stats.generators)
+
+
+def _canon_cut(stats: CanonStats, rep: Report) -> int:
+    _canon_counts(stats, rep)
+    rep.add("budget_exceeded", True)
+    return 3
+
+
 def cmd_canon(args, rep: Report) -> int:
     kind, graph = _graph_for(args.file, rep, args.ovoid)
     rep.add("kind", kind)
-    form = canonical_form(graph)
+    try:
+        form = canonical_form(graph, _budget(args))
+    except BudgetExceeded as exc:
+        return _canon_cut(exc.stats, rep)
     rep.add("digest", form.digest)
+    _canon_counts(form.stats, rep)
     return 0
 
 
@@ -382,17 +398,23 @@ def cmd_iso(args, rep: Report) -> int:
         if args.ovoid_a is not None:
             ov_a = _load(args.ovoid_a, parse_ovoid, rep)
             ov_b = _load(args.ovoid_b, parse_ovoid, rep)
-        ok, mapping = gq_isomorphic(a, b, ov_a, ov_b)
+        decide, pair = gq_isomorphic, (a, b, ov_a, ov_b)
     elif kind_a == "design":
         if args.ovoid_a is not None:
             raise UsageError("ovoid colouring applies to incidence files only")
-        ok, mapping = designs_isomorphic(parse_design(text_a, args.first),
-                                         parse_design(text_b, args.second))
+        decide, pair = designs_isomorphic, (parse_design(text_a, args.first),
+                                            parse_design(text_b, args.second))
     else:
         raise FormatError(args.first, 1, 1, f"unrecognised header {kind_a!r}")
+    stats = CanonStats()
+    try:
+        ok, mapping = decide(*pair, budget=_budget(args), stats=stats)
+    except BudgetExceeded:
+        return _canon_cut(stats, rep)
     rep.add("isomorphic", ok)
     if ok:
         rep.add("mapping", " ".join(str(mapping[i]) for i in range(len(mapping))))
+    _canon_counts(stats, rep)
     return 0 if ok else 1
 
 
@@ -403,7 +425,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--report", metavar="PATH",
                         help="also write the key/value report to this file")
     common.add_argument("--budget", type=float, metavar="SEC",
-                        help="wall-clock budget for searches, in seconds")
+                        help="wall-clock budget for searches and canonical "
+                             "forms, in seconds")
 
     top = argparse.ArgumentParser(
         prog="gqd",

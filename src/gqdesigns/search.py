@@ -55,10 +55,11 @@ class _Stop(Exception):
 class _Meter:
     """Node counter with optional budget enforcement."""
 
-    __slots__ = ("nodes", "max_nodes", "deadline")
+    __slots__ = ("nodes", "max_nodes", "deadline", "every")
 
-    def __init__(self, budget: Optional[Budget]):
+    def __init__(self, budget: Optional[Budget], every: int = 1024):
         self.nodes = 0
+        self.every = every  # read the clock once per this many nodes
         self.max_nodes = budget.max_nodes if budget else None
         self.deadline = None
         if budget and budget.max_seconds is not None:
@@ -68,7 +69,7 @@ class _Meter:
         self.nodes += 1
         if self.max_nodes is not None and self.nodes > self.max_nodes:
             raise _Stop(True)
-        if self.deadline is not None and self.nodes % 1024 == 0:
+        if self.deadline is not None and self.nodes % self.every == 0:
             if time.monotonic() > self.deadline:
                 raise _Stop(True)
 

@@ -250,7 +250,8 @@ def test_exact_cover_matches_brute_force():
 
 
 def test_canonical_form_is_relabeling_invariant():
-    structures = [symplectic_gq(2), dual(symplectic_gq(2)), hermitian_gq(2)]
+    structures = [symplectic_gq(2), dual(symplectic_gq(2)), hermitian_gq(2),
+                  symplectic_gq(3), parabolic_gq(3), symplectic_gq(4)]
     designs = [affine_plane(3), sprott_design(3, 2, 3)[1]]
     rng = random.Random(78)
     for s in structures:

@@ -10,6 +10,7 @@ import pytest
 
 from gqdesigns import canon
 from gqdesigns.canon import (
+    BudgetExceeded,
     ColoredGraph,
     are_isomorphic,
     build_graph,
@@ -19,7 +20,8 @@ from gqdesigns.canon import (
     gq_isomorphic,
     incidence_graph,
 )
-from gqdesigns.geometry import parabolic_gq, symplectic_gq
+from gqdesigns.geometry import hermitian_gq, parabolic_gq, symplectic_gq
+from gqdesigns.search import Budget
 from gqdesigns.sprott import affine_plane, replicate, sprott_design
 from gqdesigns.structures import Design, IncidenceStructure, dual
 
@@ -101,10 +103,45 @@ def test_random_graph_certificates_match_relabelings():
         assert canonical_form(g).digest == canonical_form(h).digest
 
 
+def _torus_graph(steps) -> ColoredGraph:
+    """Cayley graph of Z4 x Z4 whose generators are steps and their negatives."""
+    steps = {s for a, b in steps for s in ((a, b), (-a % 4, -b % 4))}
+    edges = [(x, y) for x in range(16) for y in range(x + 1, 16)
+             if ((y % 4 - x % 4) % 4, (y // 4 - x // 4) % 4) in steps]
+    return build_graph(16, edges, [0] * 16)
+
+
 def test_different_graphs_get_different_certificates():
     path = build_graph(4, [(0, 1), (1, 2), (2, 3)], [0] * 4)
     star = build_graph(4, [(0, 1), (0, 2), (0, 3)], [0] * 4)
     assert canonical_form(path).digest != canonical_form(star).digest
+    # both are SRG(16, 6, 2, 2), so refinement leaves the unit partition as
+    # it is and only the search below it tells them apart
+    shrikhande = _torus_graph([(1, 0), (0, 1), (1, 1)])
+    rook = _torus_graph([(1, 0), (2, 0), (0, 1), (0, 2)])
+    for g in (shrikhande, rook):
+        assert len(g.adj[0]) == 6
+    digests = [canonical_form(g).digest for g in (shrikhande, rook)]
+    assert digests[0] != digests[1]
+    rng = random.Random(16)
+    for g, want in zip((shrikhande, rook), digests):
+        for _ in range(20):
+            assert canonical_form(_relabel_graph(g, rng)).digest == want
+
+
+def test_canonical_form_visits_few_leaves():
+    # automorphism pruning: without it these take 742 to 1987 leaves
+    for s in (symplectic_gq(3), parabolic_gq(3), hermitian_gq(2),
+              symplectic_gq(4)):
+        stats = canonical_form(incidence_graph(s)).stats
+        assert stats.leaves <= 32
+        assert stats.generators >= 1
+
+
+def test_budget_cuts_canonical_form():
+    with pytest.raises(BudgetExceeded) as cut:
+        canonical_form(incidence_graph(symplectic_gq(3)), Budget(max_nodes=1))
+    assert cut.value.stats.nodes == 2
 
 
 # ---------------------------------------------------------
@@ -220,8 +257,8 @@ def check_wrong_witnesses_raise():
     w2 = symplectic_gq(2)
     a, b = incidence_graph(w2), incidence_graph(w2)
 
-    def rotated_for_b(g):
-        form = canonical_form(g)
+    def rotated_for_b(g, budget=None):
+        form = canonical_form(g, budget)
         if g is b:
             form = dataclasses.replace(form, order=form.order[1:] + form.order[:1])
         return form

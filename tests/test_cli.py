@@ -171,6 +171,18 @@ def test_budget_exhaustion_gives_exit_three(tmp_path):
     assert rep["found"] == "0"
 
 
+def test_budget_bounds_canon_and_iso(tmp_path):
+    run("construct", "--family", "W", "--q", "3", "--out", "w3.inc",
+        cwd=tmp_path)
+    for args in (("canon", "w3.inc"), ("iso", "w3.inc", "w3.inc")):
+        proc = run(*args, "--budget", "1e-7", cwd=tmp_path)
+        assert proc.returncode == 3, args
+        rep = report_of(proc)
+        assert rep["budget_exceeded"] == "true"
+        assert int(rep["nodes"]) >= 1
+        assert "digest" not in rep and "isomorphic" not in rep
+
+
 # ---------------------------------------------------------
 # canon / iso / prop32 / replicated / dual / payne
 # ---------------------------------------------------------
@@ -181,9 +193,14 @@ def test_canon_digests_agree_for_isomorphic_inputs(w2_file, tmp_path):
     b = report_of(run("canon", "dw2.inc", cwd=tmp_path))
     assert a["digest"] == b["digest"]
     assert len(a["digest"]) == 64
+    keys = list(a)
+    at = keys.index("digest")
+    assert keys[at:at + 4] == ["digest", "nodes", "leaves", "generators"]
     proc = run("iso", "w2.inc", "dw2.inc", cwd=tmp_path)
     assert proc.returncode == 0
-    assert report_of(proc)["isomorphic"] == "true"
+    rep = report_of(proc)
+    assert rep["isomorphic"] == "true"
+    assert int(rep["leaves"]) == int(a["leaves"]) + int(b["leaves"])
 
 
 def test_iso_on_marked_quadrangles(w2_file, tmp_path):

@@ -25,8 +25,8 @@ from .geometry import hermitian_gq, parabolic_gq, payne_derivation, \
     symplectic_gq
 from .search import Budget, find_ntlrs, find_ovoids
 from .sprott import affine_plane, sprott_design, sprott_lrs
-from .structures import VerificationError, dual, verify_bibd, verify_gq, \
-    verify_lrs, verify_non_triangular, verify_ovoid
+from .structures import dual, verify_bibd, verify_gq, verify_lrs, \
+    verify_non_triangular, verify_ovoid
 
 
 class UsageError(Exception):
@@ -286,16 +286,25 @@ def cmd_roundtrip(args, rep: Report) -> int:
 
 def cmd_prop32(args, rep: Report) -> int:
     s = _load(args.incidence, parse_incidence, rep)
-    ovoid = _load(args.ovoid, parse_ovoid, rep)
-    report = check_regular_traces(s, ovoid)
-    rep.add("regular_traces", report.ok)
-    rep.add("witnesses", len(report.witnesses))
-    if report.failed_point is not None:
-        rep.add("failed_point", report.failed_point)
-    rep.add("blocks_replicated", report.blocks_replicated)
-    rep.add("blocks_are_traces", report.blocks_are_traces)
-    return 0 if report.ok and report.blocks_replicated \
-        and report.blocks_are_traces else 1
+    ovoids = [_load(path, parse_ovoid, rep) for path in args.ovoids]
+    code = 0
+    for i, ovoid in enumerate(ovoids):
+        key = f"ovoid{i}." if len(ovoids) > 1 else ""
+        try:
+            report = check_regular_traces(s, ovoid)
+        except ValueError as exc:
+            _report_failure(exc, rep, key)
+            code = 1
+            continue
+        rep.add(key + "regular_traces", report.ok)
+        rep.add(key + "witnesses", len(report.witnesses))
+        if report.failed_point is not None:
+            rep.add(key + "failed_point", report.failed_point)
+        rep.add(key + "blocks_replicated", report.blocks_replicated)
+        rep.add(key + "blocks_are_traces", report.blocks_are_traces)
+        if not (report.ok and report.blocks_replicated and report.blocks_are_traces):
+            code = 1
+    return code
 
 
 def cmd_replicated(args, rep: Report) -> int:
@@ -420,6 +429,12 @@ def cmd_iso(args, rep: Report) -> int:
 
 # --- plumbing ------------------------------------------------------------
 
+def _report_failure(exc: ValueError, rep: Report, prefix: str = "") -> None:
+    rep.add(prefix + "verified", False)
+    rep.add(prefix + "failure", type(exc).__name__)
+    rep.add(prefix + "detail", str(exc))
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--report", metavar="PATH",
@@ -504,7 +519,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="check that blocks of the induced design are "
                             "traces of regular point pairs")
     p.add_argument("incidence", metavar="INC")
-    p.add_argument("ovoid", metavar="OVOID")
+    p.add_argument("ovoids", nargs="+", metavar="OVOID",
+                   help="one or more ovoid files; with several, each "
+                        "ovoid's keys start with ovoid<i>.")
     p.set_defaults(func=cmd_prop32)
 
     p = sub.add_parser("replicated", parents=[common],
@@ -558,16 +575,9 @@ def main(argv=None) -> int:
     except FormatError as exc:
         print(f"gqd {args.cmd}: {exc}", file=sys.stderr)
         return 2
-    except VerificationError as exc:
-        rep.add("verified", False)
-        rep.add("failure", type(exc).__name__)
-        rep.add("detail", str(exc))
-        code = 1
     except ValueError as exc:
-        # precondition on otherwise well-formed input data
-        rep.add("verified", False)
-        rep.add("failure", type(exc).__name__)
-        rep.add("detail", str(exc))
+        # a VerificationError, or a precondition on well-formed input data
+        _report_failure(exc, rep)
         code = 1
     rep.add("elapsed_seconds", f"{time.monotonic() - start:.3f}")
     rep.add("exit_code", code)

@@ -230,6 +230,23 @@ def make_field(p: int, a: int) -> Field:
     raise RuntimeError(f"no primitive polynomial of degree {a} over GF({p})")  # unreachable
 
 
+@lru_cache(maxsize=None)
+def field_tables(f: Field) -> tuple:
+    """Whole-field operation tables (add, mul, neg, inv), built once per field.
+
+    add[u][v] and mul[u][v] are f.add(u, v) and f.mul(u, v), neg[u] is
+    f.neg(u) and inv[u] is f.inv(u); inv[0] is 0, a placeholder, as 0 has no
+    inverse.  The tables hold about 2*q*q entries, so they suit the small
+    fields of the geometric constructions, where one field serves many
+    thousands of operations.
+    """
+    r = f.elements()
+    return (tuple(tuple(f.add(u, v) for v in r) for u in r),
+            tuple(tuple(f.mul(u, v) for v in r) for u in r),
+            tuple(f.neg(u) for u in r),
+            (0,) + tuple(f.inv(u) for u in r[1:]))
+
+
 def field_of_order(q: int) -> Field:
     """GF(q); raises ValueError when q is not a prime power."""
     pa = factor_prime_power(q)

@@ -284,9 +284,11 @@ def verify_bibd(d: Design, allow_degenerate: bool = False) -> DesignParams:
                     f"pair ({x},{y}) lies in {c} blocks but pair (0,1) lies in {lam}")
 
     r = len(d.lines_through[0])
-    # uniform pair counts force uniform replication; assert the arithmetic anyway
-    assert all(len(t) == r for t in d.lines_through)
-    assert v * r == b * k and r * (k - 1) == lam * (v - 1)
+    # uniform pair counts force uniform replication; check the arithmetic anyway
+    if any(len(t) != r for t in d.lines_through) \
+            or v * r != b * k or r * (k - 1) != lam * (v - 1):
+        raise RuntimeError(f"balanced design breaks v*r = b*k or r*(k-1) = lambda*(v-1)"
+                           f" at v={v}, b={b}, r={r}, k={k}, lambda={lam}")
     params = DesignParams(v, b, r, k, lam)
     if (k <= 2 or k >= v) and not allow_degenerate:
         raise DegenerateDesignError(
@@ -298,7 +300,7 @@ def verify_ovoid(s: IncidenceStructure, ovoid: Iterable[int]) -> None:
     """Check that the point set meets every line exactly once.
 
     Expects a structure that passes verify_gq; the ovoid size 1 + s*t is then
-    a consequence and is asserted.
+    a consequence and is checked.
     """
     params = verify_gq(s)
     pts = frozenset(ovoid)
@@ -312,7 +314,9 @@ def verify_ovoid(s: IncidenceStructure, ovoid: Iterable[int]) -> None:
         hits = (m & mask).bit_count()
         if hits != 1:
             raise OvoidError((j, hits), f"line {j} meets the set in {hits} points, expected 1")
-    assert len(pts) == 1 + params.s * params.t
+    if len(pts) != 1 + params.s * params.t:
+        raise RuntimeError(f"ovoid of {len(pts)} points meets every line once, "
+                           f"but a GQ of order {tuple(params)} needs {1 + params.s * params.t}")
 
 
 def verify_lrs(d: Design, system: LocalResolutionSystem) -> None:

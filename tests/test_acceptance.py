@@ -113,6 +113,22 @@ def test_hermitian_q2_ovoid_design_roundtrip():
     print(f"H(3,4) pipeline: ovoid of 9, roundtrip ok ({dt:.2f}s)")
 
 
+def test_large_classical_quadrangles_build_fast():
+    elapsed = clock()
+    s = parabolic_gq(9)
+    assert verify_gq(s) == GQParams(9, 9)
+    assert s.point_count == len(s.lines) == 820
+    dt = elapsed()
+    assert dt < 2.0
+    elapsed = clock()
+    h = hermitian_gq(3)
+    assert verify_gq(h) == GQParams(9, 3)
+    assert h.point_count == 280 and len(h.lines) == 112
+    dh = elapsed()
+    assert dh < 1.0
+    print(f"Q(4,9) built and verified ({dt:.2f}s), H(3,9) ({dh:.2f}s)")
+
+
 # ---------------------------------------------------------
 # difference-family designs and their systems
 # ---------------------------------------------------------

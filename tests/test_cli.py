@@ -229,12 +229,29 @@ def test_payne_chain_and_prop32(tmp_path):
     proc = run("dual", "pw3.inc", "--out", "gq42.inc", cwd=tmp_path)
     assert proc.returncode == 0
     proc = run("ovoids", "gq42.inc", "--out", "q", cwd=tmp_path)
-    codes = []
     n = int(report_of(proc)["found"])
-    for i in range(n):
-        codes.append(run("prop32", "gq42.inc", f"q{i}.ovoid",
-                         cwd=tmp_path).returncode)
-    assert 0 in codes and 1 in codes
+    paths = [f"q{i}.ovoid" for i in range(n)]
+    # a set that is no ovoid is reported under its own prefix
+    (tmp_path / "bad.ovoid").write_text("ovoid 9\n0 1 2 3 4 5 6 7 8\n")
+    proc = run("prop32", "gq42.inc", *paths, "bad.ovoid", cwd=tmp_path)
+    assert proc.returncode == 1
+    rep = report_of(proc)
+    assert rep[f"ovoid{n}.verified"] == "false"
+    assert rep[f"ovoid{n}.failure"] == "OvoidError"
+    passed = [i for i in range(n)
+              if rep[f"ovoid{i}.regular_traces"] == "true"
+              and rep[f"ovoid{i}.blocks_replicated"] == "true"
+              and rep[f"ovoid{i}.blocks_are_traces"] == "true"]
+    failed = sorted(set(range(n)) - set(passed))
+    assert passed and failed
+    assert "regular_traces" not in rep
+    for i, code in ((passed[0], 0), (failed[0], 1)):
+        proc = run("prop32", "gq42.inc", paths[i], cwd=tmp_path)
+        assert proc.returncode == code
+        single = report_of(proc)
+        for key in ("regular_traces", "witnesses", "blocks_replicated",
+                    "blocks_are_traces"):
+            assert single[key] == rep[f"ovoid{i}.{key}"]
 
 
 def test_replicated_detection(tmp_path):

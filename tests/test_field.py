@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from gqdesigns.field import Field, factor_prime_power, is_prime, make_field
+from gqdesigns.field import Field, factor_prime_power, field_tables, is_prime, \
+    make_field
 
 
 # ---------------------------------------------------------
@@ -148,3 +149,18 @@ def test_inverses_round_trip():
         for u in range(1, f.q):
             assert f.mul(u, f.inv(u)) == 1
             assert f.div(u, u) == 1
+
+
+@pytest.mark.parametrize("p,a", [(2, 3), (3, 2), (7, 1)])
+def test_tables_agree_with_checked_operations(p, a):
+    f = make_field(p, a)
+    tables = field_tables(f)
+    assert field_tables(make_field(p, a)) is tables  # built once per field
+    add, mul, neg, inv = tables
+    for u in f.elements():
+        assert neg[u] == f.neg(u)
+        if u:
+            assert inv[u] == f.inv(u)
+        for v in f.elements():
+            assert add[u][v] == f.add(u, v)
+            assert mul[u][v] == f.mul(u, v)

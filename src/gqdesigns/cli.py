@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import math
 import sys
 import time
 
@@ -78,6 +79,30 @@ def _sniff(path: str, text: str) -> str:
         if stripped and not stripped.startswith("#"):
             return stripped.split()[0]
     raise FormatError(path, 1, 1, "empty file")
+
+
+def _count(text: str) -> int:
+    """--limit: a whole number, 0 or more; anything else is a usage error."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(
+            f"expected a whole number >= 0, got {text!r}")
+    return value
+
+
+def _seconds(text: str) -> float:
+    """--budget: a finite number of seconds, 0 or more."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"expected a finite number of seconds >= 0, got {text!r}")
+    return value
 
 
 def _budget(args) -> Budget | None:
@@ -439,7 +464,7 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--report", metavar="PATH",
                         help="also write the key/value report to this file")
-    common.add_argument("--budget", type=float, metavar="SEC",
+    common.add_argument("--budget", type=_seconds, metavar="SEC",
                         help="wall-clock budget for searches and canonical "
                              "forms, in seconds")
 
@@ -474,7 +499,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ovoids", parents=[common],
                        help="search a quadrangle for ovoids")
     p.add_argument("incidence", metavar="INC")
-    p.add_argument("--limit", type=int, default=0,
+    p.add_argument("--limit", type=_count, default=0,
                    help="stop after this many (0 = exhaust)")
     p.add_argument("--out", metavar="PREFIX",
                    help="write each ovoid to PREFIX<i>.ovoid")
@@ -484,7 +509,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="search a design for non-triangular local "
                             "resolution systems")
     p.add_argument("design", metavar="DESIGN")
-    p.add_argument("--limit", type=int, default=1,
+    p.add_argument("--limit", type=_count, default=1,
                    help="stop after this many (0 = exhaust, default 1)")
     p.add_argument("--out", metavar="PREFIX",
                    help="write each system to PREFIX<i>.lrs")

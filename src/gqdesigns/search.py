@@ -1,20 +1,50 @@
-"""Backtracking searches: exact cover, ovoid enumeration, and local
-resolution systems with the non-triangularity constraint.
+"""Backtracking searches on bitsets: exact cover, ovoid enumeration, and
+local resolution systems with the non-triangularity constraint.
 
-All searches are deterministic: the branching element is always the most
-constrained one (fewest remaining candidates, ties to the lowest index) and
-candidates are tried in ascending index order.  Budgets cut a search short;
-the result then carries partial solutions with exhausted=False.
+Every set a search touches is a Python int used as a bitset.  All searches
+are deterministic, and budgets cut a search short; the result then carries
+the solutions found so far with exhausted=False.
+
+Exact cover (solve_exact_cover; find_ovoids covers lines with points) keeps
+three kinds of mask: by_elem[e], the candidates covering element e;
+conflict[i], every candidate sharing an element with candidate i, i itself
+included; and alive, the candidates disjoint from everything chosen so far.
+A node branches on the uncovered element e with the fewest live candidates,
+(by_elem[e] & alive).bit_count(), ties to the lowest e; an element with none
+ends the scan and the node at once.  Candidates are tried in ascending index
+order, and choosing i clears conflict[i] from alive.  nodes ticks once per
+node entered, the root and every complete cover included.
+
+Resolution search (find_local_resolutions, find_ntlrs) partitions the
+instances through one point p at a time into parallel classes.  It keeps
+through[x], the instances through point x; unused, the instances through p
+not yet in a class at p; and nbr[b], every instance already co-class with b.
+A class is started by the lowest unused instance and grows by covering the
+lowest point t it misses, trying the instances of unused & through[t] in
+ascending order.  Instance i joins when it meets the class only at p, its
+lower identical twin is not still waiting (the ascending-consumption rule
+for repeated blocks), and nbr[i] & reach == 0, where reach is the union of
+nbr over the class's members.  That last test is the pairwise triangle
+check: it fails exactly when some instance is co-class with both i and a
+member at two other points.  nbr is set when a class closes and undone on
+backtrack, so at the one point of find_local_resolutions it stays zero and
+the test always passes.  nodes ticks once each time a next class is begun
+at a point (also when no instance is left, which completes the point) and
+once per growth step that still has a point to cover.
+
+Both searches run from an explicit stack of branching nodes, each holding
+its untried candidates, so the interpreter's stack depth does not grow with
+the size of a solution or of a design.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 from .structures import (Design, IncidenceStructure, LocalResolutionSystem,
-                         LrsError, verify_bibd, verify_gq, verify_lrs,
+                         verify_bibd, verify_gq, verify_lrs,
                          verify_non_triangular, verify_ovoid)
 
 
@@ -74,52 +104,66 @@ class _Meter:
                 raise _Stop(True)
 
 
+def _bits(mask: int) -> list[int]:
+    """Indices of the set bits of mask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
 def solve_exact_cover(inst: ExactCoverInstance, limit: Optional[int] = None,
                       budget: Optional[Budget] = None) -> SearchResult:
     """Subsets of candidate indices covering 0..universe-1 exactly once each.
 
-    Branches on the uncovered element with the fewest usable candidates.
+    Branches on the uncovered element with the fewest live candidates.
     """
     if limit is not None and limit < 1:
         raise ValueError("limit must be positive")
     universe = inst.universe
     masks = []
-    for cand in inst.candidates:
+    by_elem = [0] * universe
+    for i, cand in enumerate(inst.candidates):
         m = 0
         for e in cand:
             m |= 1 << e
+            by_elem[e] |= 1 << i
         masks.append(m)
+    conflict = []
+    for cand in inst.candidates:
+        clash = 0
+        for e in cand:
+            clash |= by_elem[e]
+        conflict.append(clash)
+    elements = [(1 << e, by_elem[e]) for e in range(universe)]
     full = (1 << universe) - 1
-    by_element = [[i for i, m in enumerate(masks) if (m >> e) & 1] for e in range(universe)]
     meter = _Meter(budget)
+    tick = meter.tick
     solutions: list[frozenset[int]] = []
-    chosen: list[int] = []
+    chosen: list[int] = []  # chosen[d]: the candidate being tried at stack[d]
+    stack: list[list[int]] = []  # [covered, alive, untried candidates]
 
-    def rec(covered: int) -> None:
-        meter.tick()
+    def enter(covered: int, alive: int) -> None:
+        tick()
         if covered == full:
             solutions.append(frozenset(chosen))
             if limit is not None and len(solutions) >= limit:
                 raise _Stop(False)
             return
-        best_e = -1
-        best = None
-        rest = full & ~covered
-        while rest:
-            low = rest & -rest
-            e = low.bit_length() - 1
-            rest ^= low
-            avail = [i for i in by_element[e] if not masks[i] & covered]
-            if best is None or len(avail) < len(best):
-                best = avail
-                best_e = e
-                if not avail:
-                    break
-        assert best_e >= 0
-        for i in best:
-            chosen.append(i)
-            rec(covered | masks[i])
-            chosen.pop()
+        fewest = len(masks) + 1
+        for bit, cands in elements:
+            if covered & bit:
+                continue
+            live = cands & alive
+            count = live.bit_count()
+            if count < fewest:
+                if not count:
+                    return
+                fewest = count
+                best = live
+        stack.append([covered, alive, best])
 
     exhausted = True
     budget_hit = False
@@ -127,7 +171,19 @@ def solve_exact_cover(inst: ExactCoverInstance, limit: Optional[int] = None,
         if universe == 0:
             solutions.append(frozenset())
         else:
-            rec(0)
+            enter(0, (1 << len(masks)) - 1)
+        while stack:
+            frame = stack[-1]
+            del chosen[len(stack) - 1:]
+            untried = frame[2]
+            if not untried:
+                stack.pop()
+                continue
+            low = untried & -untried
+            frame[2] = untried ^ low
+            i = low.bit_length() - 1
+            chosen.append(i)
+            enter(frame[0] | masks[i], frame[1] & ~conflict[i])
     except _Stop as stop:
         exhausted = False
         budget_hit = stop.budget_hit
@@ -149,57 +205,6 @@ def find_ovoids(s: IncidenceStructure, limit: Optional[int] = None,
     return res
 
 
-class ParallelGraph:
-    """Graph on block instances whose edges join co-class pairs.
-
-    Two instances sharing a parallel class at point p become an edge labeled p;
-    the label is forced, because co-class instances intersect exactly in the
-    class point.  A full system is non-triangular exactly when every triangle
-    here carries a single label, so add_pair refuses any edge that would close
-    a two-label triangle, and the trail supports search rollback.
-    """
-
-    def __init__(self, design: Design):
-        self._blocksets = [frozenset(b) for b in design.blocks]
-        self.labels: list[dict[int, int]] = [dict() for _ in design.blocks]
-        self._trail: list[tuple[int, int]] = []
-
-    def can_add(self, b: int, c: int, p: int) -> bool:
-        lb = self.labels[b]
-        lc = self.labels[c]
-        if len(lb) > len(lc):
-            lb, lc = lc, lb
-        for e, lab in lb.items():
-            other = lc.get(e)
-            if other is not None and not (lab == p and other == p):
-                return False
-        return True
-
-    def add_pair(self, b: int, c: int, p: int) -> bool:
-        """Add the edge if admissible; report False (and add nothing) otherwise."""
-        inter = self._blocksets[b] & self._blocksets[c]
-        if inter != {p}:
-            raise LrsError(p, (b, c, tuple(sorted(inter))),
-                           f"instances {b},{c} cannot be co-class at {p}: "
-                           f"they share {sorted(inter)}")
-        assert c not in self.labels[b]
-        if not self.can_add(b, c, p):
-            return False
-        self.labels[b][c] = p
-        self.labels[c][b] = p
-        self._trail.append((b, c))
-        return True
-
-    def checkpoint(self) -> int:
-        return len(self._trail)
-
-    def rollback(self, mark: int) -> None:
-        while len(self._trail) > mark:
-            b, c = self._trail.pop()
-            del self.labels[b][c]
-            del self.labels[c][b]
-
-
 class _ResolutionSearch:
     """Shared engine for local-resolution enumeration.
 
@@ -208,90 +213,115 @@ class _ResolutionSearch:
     uncovered point next.  Repeated block contents are interchangeable, so
     instances of one content are consumed in ascending index order; the rule
     binds at a single point per content (its lowest point) in system mode,
-    where one point's choice fixes the alignment everywhere, and at the focal
+    where one point's choice fixes the alignment everywhere, and at every
     point in single-point mode.
     """
 
-    def __init__(self, design: Design, use_graph: bool, meter: _Meter):
-        self.design = design
-        self.blocks = design.blocks
-        self.block_masks = design.line_masks
+    def __init__(self, design: Design, meter: _Meter, rule_all_groups: bool):
         self.meter = meter
-        self.graph = ParallelGraph(design) if use_graph else None
-        prev_same: dict[int, int] = {}
-        head_pt: dict[int, int] = {}
+        self.masks = design.line_masks
+        self.full = (1 << design.point_count) - 1
+        self.through = [0] * design.point_count
+        for i, blk in enumerate(design.blocks):
+            for x in blk:
+                self.through[x] |= 1 << i
+        # guard[p][i] is the bit of i's next lower twin: at p, i may join a
+        # class only once that twin has
+        self.guard: list[dict[int, int]] = [{} for _ in range(design.point_count)]
         groups: dict[tuple, list[int]] = {}
-        for i, blk in enumerate(self.blocks):
+        for i, blk in enumerate(design.blocks):
             groups.setdefault(blk, []).append(i)
         for content, members in groups.items():
-            for pos, i in enumerate(members):
-                if pos:
-                    prev_same[i] = members[pos - 1]
-                head_pt[i] = content[0]
-        self.prev_same = prev_same
-        self.head_pt = head_pt
+            for prev, i in zip(members, members[1:]):
+                for p in content if rule_all_groups else content[:1]:
+                    self.guard[p][i] = 1 << prev
 
-    def run_point(self, p: int, rule_all_groups: bool, emit) -> None:
-        """Enumerate partitions at point p; emit() fires per complete partition.
+    def run(self, first: int, last: int, emit) -> None:
+        """Partition the instances through each of the points first..last-1 in
+        turn; emit(closed) fires once per full choice.
 
-        With rule_all_groups the ascending-consumption rule for repeated
-        contents applies to every content group at p (single-point mode);
-        otherwise only to groups whose head point is p (system mode).
+        closed lists (point, class mask) in the order the classes closed, so
+        the classes of each point are contiguous and points ascend.
         """
-        design = self.design
-        pbit = 1 << p
-        goal = ((1 << design.point_count) - 1) ^ pbit
-        through = design.lines_through[p]
-        acc: list[frozenset[int]] = []
+        tick = self.meter.tick
+        masks, full, through, guard = self.masks, self.full, self.through, self.guard
+        nbr = [0] * len(masks)
+        closed: list[tuple[int, int]] = []
 
-        def eligible(i: int, unused: set[int]) -> bool:
-            prev = self.prev_same.get(i)
-            if prev is None or prev not in unused:
-                return True
-            return not rule_all_groups and self.head_pt[i] != p
+        def link(cls):
+            # toggle co-class bits among the members of cls: none is set
+            # before the class closes, so this both sets and clears them
+            rest = cls
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                nbr[low.bit_length() - 1] ^= cls ^ low
 
-        def next_class(unused: set[int]) -> None:
-            self.meter.tick()
-            if not unused:
-                emit(tuple(acc))
-                return
-            # min(unused) is always eligible: an unconsumed identical twin
-            # would have a smaller index
-            leader = min(unused)
-            unused.discard(leader)
-            grow([leader], self.block_masks[leader] ^ pbit, unused)
-            unused.add(leader)
+        def descend(p, members, covered, reach, unused):
+            # Take the forced steps from a class at p until the next choice.
+            # A class whose covered mask is full is complete: record it, then
+            # start the next class at p or, with no instance left, move to the
+            # next point.  The lowest unused instance leads a new class with no
+            # test: it has no class-mates yet, and a waiting twin would be
+            # lower still.  Return the choice frame [p, members, covered,
+            # reach, unused, untried, len(closed)], or None after a dead end
+            # or an emitted solution.
+            while covered == full:
+                if members:
+                    closed.append((p, members))
+                    link(members)
+                tick()
+                while not unused:
+                    p += 1
+                    if p == last:
+                        emit(closed)
+                        return None
+                    unused = through[p]
+                    tick()
+                members = unused & -unused
+                leader = members.bit_length() - 1
+                covered = masks[leader]
+                reach = nbr[leader]
+                unused ^= members
+            tick()
+            pbit = 1 << p
+            held = guard[p]
+            target = full ^ covered
+            cands = unused & through[(target & -target).bit_length() - 1]
+            untried = 0
+            while cands:
+                low = cands & -cands
+                cands ^= low
+                i = low.bit_length() - 1
+                if (masks[i] & covered) != pbit:
+                    continue  # meets the class outside p
+                if held.get(i, 0) & unused:
+                    continue  # its lower twin is still unused at p
+                if nbr[i] & reach:
+                    continue  # would close a triangle with two labels
+                untried |= low
+            if not untried:
+                return None
+            return [p, members, covered, reach, unused, untried, len(closed)]
 
-        def grow(members: list[int], covered: int, unused: set[int]) -> None:
-            # covered tracks points other than p reached by the class so far
-            if covered == goal:
-                acc.append(frozenset(members))
-                next_class(unused)
-                acc.pop()
-                return
-            self.meter.tick()
-            target = (~covered & goal)
-            target = (target & -target).bit_length() - 1
-            for i in sorted(unused):
-                m = self.block_masks[i] ^ pbit
-                if not (m >> target) & 1 or m & covered:
-                    continue
-                if not eligible(i, unused):
-                    continue
-                if self.graph is not None:
-                    mark = self.graph.checkpoint()
-                    if not all(self.graph.add_pair(i, b, p) for b in members):
-                        self.graph.rollback(mark)
-                        continue
-                unused.discard(i)
-                members.append(i)
-                grow(members, covered | m, unused)
-                members.pop()
-                unused.add(i)
-                if self.graph is not None:
-                    self.graph.rollback(mark)
-
-        next_class(set(through))
+        # an empty complete class at first starts the search at that point
+        frame = descend(first, 0, full, 0, through[first])
+        stack = [frame] if frame else []
+        while stack:
+            frame = stack[-1]
+            p, members, covered, reach, unused, untried, mark = frame
+            if not untried:
+                stack.pop()
+                continue
+            low = untried & -untried
+            frame[5] = untried ^ low
+            while len(closed) > mark:  # reopen the classes closed below here
+                link(closed.pop()[1])
+            i = low.bit_length() - 1
+            frame = descend(p, members | low, covered | masks[i], reach | nbr[i],
+                            unused ^ low)
+            if frame:
+                stack.append(frame)
 
 
 def find_local_resolutions(design: Design, point: int,
@@ -311,17 +341,17 @@ def find_local_resolutions(design: Design, point: int,
     meter = _Meter(budget)
     solutions: list[tuple[frozenset[int], ...]] = []
 
-    def emit(classes: tuple[frozenset[int], ...]) -> None:
-        solutions.append(classes)
+    def emit(closed: list[tuple[int, int]]) -> None:
+        solutions.append(tuple(frozenset(_bits(cls)) for _, cls in closed))
         if limit is not None and len(solutions) >= limit:
             raise _Stop(False)
 
-    engine = _ResolutionSearch(design, use_graph=False, meter=meter)
     exhausted = True
     budget_hit = False
     if (design.point_count - 1) % (params.k - 1) == 0:
+        engine = _ResolutionSearch(design, meter, rule_all_groups=True)
         try:
-            engine.run_point(point, rule_all_groups=True, emit=emit)
+            engine.run(point, point + 1, emit)
         except _Stop as stop:
             exhausted = False
             budget_hit = stop.budget_hit
@@ -332,9 +362,10 @@ def find_ntlrs(design: Design, limit: Optional[int] = None,
                budget: Optional[Budget] = None) -> SearchResult:
     """Non-triangular local resolution systems of a verified BIBD.
 
-    Builds one point at a time in ascending point order, keeping the running
-    co-class graph triangle-clean, so every emitted system is non-triangular
-    by construction (and re-verified before it is returned).
+    Builds one point at a time in ascending point order, admitting an
+    instance to a class only if no instance is already co-class with both it
+    and a member, so every emitted system is non-triangular by construction
+    (and re-verified before it is returned).
     """
     params = verify_bibd(design)
     if limit is not None and limit < 1:
@@ -342,33 +373,26 @@ def find_ntlrs(design: Design, limit: Optional[int] = None,
     meter = _Meter(budget)
     if (design.point_count - 1) % (params.k - 1):
         return SearchResult([], True, 0)
-    engine = _ResolutionSearch(design, use_graph=True, meter=meter)
-    chosen: list[tuple[frozenset[int], ...]] = []
+    engine = _ResolutionSearch(design, meter, rule_all_groups=False)
     systems: list[LocalResolutionSystem] = []
 
-    def at_point(p: int) -> None:
-        if p == design.point_count:
-            system = LocalResolutionSystem(chosen)
-            verify_lrs(design, system)
-            witness = verify_non_triangular(design, system)
-            if witness is not None:  # incremental pruning should rule this out
-                raise RuntimeError(f"search emitted a triangular system: {witness}")
-            systems.append(system)
-            if limit is not None and len(systems) >= limit:
-                raise _Stop(False)
-            return
-
-        def emit(classes: tuple[frozenset[int], ...]) -> None:
-            chosen.append(classes)
-            at_point(p + 1)
-            chosen.pop()
-
-        engine.run_point(p, rule_all_groups=False, emit=emit)
+    def emit(closed: list[tuple[int, int]]) -> None:
+        rows: list[list[frozenset[int]]] = [[] for _ in range(design.point_count)]
+        for p, cls in closed:
+            rows[p].append(frozenset(_bits(cls)))
+        system = LocalResolutionSystem(rows)
+        verify_lrs(design, system)
+        witness = verify_non_triangular(design, system)
+        if witness is not None:  # the co-class test should rule this out
+            raise RuntimeError(f"search emitted a triangular system: {witness}")
+        systems.append(system)
+        if limit is not None and len(systems) >= limit:
+            raise _Stop(False)
 
     exhausted = True
     budget_hit = False
     try:
-        at_point(0)
+        engine.run(0, design.point_count, emit)
     except _Stop as stop:
         exhausted = False
         budget_hit = stop.budget_hit

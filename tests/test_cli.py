@@ -160,6 +160,45 @@ def test_ntlrs_search_and_budget(tmp_path):
     assert report_of(proc)["exhausted"] == "true"
 
 
+def test_ntlrs_on_the_paper_design(tmp_path):
+    # v = 64 with 448 instances: a search nesting one point inside the
+    # previous one ran out of interpreter stack and exited 1 with no report
+    proc = run("construct", "--family", "sprott", "--q", "8", "--lambda", "10",
+               "--with-lrs", "--out", "s8.design", "--lrs-out", "s8.lrs",
+               cwd=tmp_path)
+    assert proc.returncode == 0
+    proc = run("ntlrs", "s8.design", "--out", "found", cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    rep = report_of(proc)
+    assert rep["found"] == "1"
+    assert rep["nodes"] == "4604"
+    assert (parse_lrs((tmp_path / "found0.lrs").read_text())
+            == parse_lrs((tmp_path / "s8.lrs").read_text()))
+
+
+def test_bad_search_arguments_are_usage_errors(w2_file, tmp_path):
+    cases = [
+        (("ovoids", "w2.inc", "--limit", "-1"), "--limit"),
+        (("ntlrs", "w2.inc", "--limit", "-2"), "--limit"),
+        (("ovoids", "w2.inc", "--budget", "-5"), "--budget"),
+        (("ovoids", "w2.inc", "--budget", "nan"), "--budget"),
+        (("ovoids", "w2.inc", "--budget", "inf"), "--budget"),
+        (("canon", "w2.inc", "--budget", "-1"), "--budget"),
+    ]
+    for args, option in cases:
+        proc = run(*args, cwd=tmp_path)
+        assert proc.returncode == 2, args
+        assert proc.stdout == "", args
+        assert f"argument {option}" in proc.stderr, args
+    # the bounds themselves are accepted
+    proc = run("ovoids", "w2.inc", "--limit", "0", cwd=tmp_path)
+    assert proc.returncode == 0
+    assert report_of(proc)["found"] == "6"
+    proc = run("ovoids", "w2.inc", "--budget", "0", cwd=tmp_path)
+    assert proc.returncode in (0, 3)
+    assert report_of(proc)["command"] == "ovoids"
+
+
 def test_budget_exhaustion_gives_exit_three(tmp_path):
     proc = run("construct", "--family", "W", "--q", "5", "--out", "w5.inc",
                cwd=tmp_path)

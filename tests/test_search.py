@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 from unittest import mock
@@ -5,10 +6,12 @@ from unittest import mock
 import pytest
 
 from gqdesigns import search
+from gqdesigns.correspondence import design_from_ovoid
+from gqdesigns.geometry import hermitian_gq, parabolic_gq, symplectic_gq
 from gqdesigns.search import (
     Budget,
     ExactCoverInstance,
-    ParallelGraph,
+    SearchResult,
     find_local_resolutions,
     find_ntlrs,
     find_ovoids,
@@ -16,7 +19,8 @@ from gqdesigns.search import (
 )
 from gqdesigns.sprott import affine_plane, replicate, sprott_design, sprott_lrs
 from gqdesigns.structures import (
-    LrsError,
+    Design,
+    IncidenceStructure,
     TriangleWitness,
     verify_lrs,
     verify_non_triangular,
@@ -108,6 +112,104 @@ def test_candidate_validation():
         ExactCoverInstance(-1, ())
 
 
+def test_long_cover_does_not_recurse():
+    # one branching node per chosen candidate: 1500 of them would exceed the
+    # interpreter's default recursion limit
+    inst = ExactCoverInstance(1500, tuple(frozenset({i}) for i in range(1500)))
+    res = solve_exact_cover(inst)
+    assert res.exhausted
+    assert res.solutions == [frozenset(range(1500))]
+    assert res.nodes == 1501
+
+
+def _reference_exact_cover(inst, limit=None, budget=None):
+    """The list-based engine solve_exact_cover replaced, kept as an oracle.
+
+    At every node it rebuilds, for each uncovered element, the list of
+    candidates disjoint from the covered set, and branches on the shortest
+    list (ties to the lowest element).
+    """
+    universe = inst.universe
+    masks = []
+    for cand in inst.candidates:
+        m = 0
+        for e in cand:
+            m |= 1 << e
+        masks.append(m)
+    full = (1 << universe) - 1
+    by_element = [[i for i, m in enumerate(masks) if (m >> e) & 1] for e in range(universe)]
+    meter = search._Meter(budget)
+    solutions = []
+    chosen = []
+
+    def rec(covered):
+        meter.tick()
+        if covered == full:
+            solutions.append(frozenset(chosen))
+            if limit is not None and len(solutions) >= limit:
+                raise search._Stop(False)
+            return
+        best = None
+        rest = full & ~covered
+        while rest:
+            low = rest & -rest
+            e = low.bit_length() - 1
+            rest ^= low
+            avail = [i for i in by_element[e] if not masks[i] & covered]
+            if best is None or len(avail) < len(best):
+                best = avail
+                if not avail:
+                    break
+        for i in best:
+            chosen.append(i)
+            rec(covered | masks[i])
+            chosen.pop()
+
+    exhausted = True
+    budget_hit = False
+    try:
+        if universe == 0:
+            solutions.append(frozenset())
+        else:
+            rec(0)
+    except search._Stop as stop:
+        exhausted = False
+        budget_hit = stop.budget_hit
+    return SearchResult(solutions, exhausted, meter.nodes, budget_hit)
+
+
+def _random_instance(rng):
+    n = rng.randrange(0, 16)
+    candidates = []
+    for _ in range(rng.randrange(0, 24)):
+        if n == 0 or rng.random() < 0.03:
+            candidates.append(frozenset())
+        elif candidates and rng.random() < 0.1:
+            candidates.append(rng.choice(candidates))  # a repeated candidate
+        else:
+            size = min(n, 1 + int(rng.expovariate(0.6)))
+            candidates.append(frozenset(rng.sample(range(n), size)))
+    return ExactCoverInstance(n, tuple(candidates))
+
+
+def test_exact_cover_matches_reference_engine():
+    rng = random.Random(6021)
+    runs = 0
+    for _ in range(400):
+        inst = _random_instance(rng)
+        for limit, budget in [(None, None),
+                              (rng.randrange(1, 4), None),
+                              (None, Budget(max_nodes=rng.randrange(1, 40))),
+                              (rng.randrange(1, 4), Budget(max_nodes=rng.randrange(1, 40)))]:
+            got = solve_exact_cover(inst, limit=limit, budget=budget)
+            want = _reference_exact_cover(inst, limit=limit, budget=budget)
+            assert (got.solutions, got.nodes, got.exhausted, got.budget_exceeded) == \
+                (want.solutions, want.nodes, want.exhausted, want.budget_exceeded), \
+                (inst, limit, budget)
+            runs += 1
+    assert runs == 1600
+
+
 # ---------------------------------------------------------
 # Ovoid search
 # ---------------------------------------------------------
@@ -129,27 +231,6 @@ def test_ovoid_search_rejects_non_gq():
     from gqdesigns.structures import GQAxiomError
     with pytest.raises(GQAxiomError):
         find_ovoids(fano_incidence())
-
-
-# ---------------------------------------------------------
-# Parallel graph
-# ---------------------------------------------------------
-
-def test_parallel_graph_enforces_single_point_intersections(sprott4):
-    d, system = sprott4
-    g = ParallelGraph(d)
-    for p, classes in enumerate(system.classes):
-        for cls in classes:
-            for i, j in itertools.combinations(sorted(cls), 2):
-                assert g.add_pair(i, j, p)
-
-
-def test_parallel_graph_rejects_wide_intersections():
-    d = replicate(affine_plane(3), 3)
-    g = ParallelGraph(d)
-    # copies 0 and 1 of block 0 share all three points
-    with pytest.raises(LrsError):
-        g.add_pair(0, 1, d.blocks[0][0])
 
 
 # ---------------------------------------------------------
@@ -229,3 +310,152 @@ def test_time_budget_reported():
     assert res.budget_exceeded
     assert not res.solutions
     assert not res.exhausted
+
+
+def test_paper_design_search_does_not_nest_per_point():
+    # v = 64 and 448 instances: a search that nests one point inside the
+    # previous point's call runs out of interpreter stack here
+    d, explicit = sprott_lrs(8)
+    res = find_ntlrs(d, limit=1)
+    assert res.nodes == 4604
+    assert res.solutions == [explicit]
+    assert not res.exhausted
+    assert not res.budget_exceeded
+
+
+# ---------------------------------------------------------
+# Frozen search traces
+# ---------------------------------------------------------
+
+def _relabeled(s, seed, kind):
+    """Points and lines (block instances) of s, each in a seeded order."""
+    rng = random.Random(seed)
+    perm = list(range(s.point_count))
+    rng.shuffle(perm)
+    lines = [[perm[x] for x in line] for line in s.lines]
+    rng.shuffle(lines)
+    return kind(s.point_count, lines)
+
+
+def _h34_design():
+    # the design of H(3,4)'s last ovoid: block multiplicities 1 and 3
+    s = hermitian_gq(2)
+    return design_from_ovoid(s, find_ovoids(s).solutions[-1])[0]
+
+
+def _solution_key(sol):
+    if hasattr(sol, "classes"):  # a LocalResolutionSystem
+        return tuple(tuple(tuple(sorted(c)) for c in row) for row in sol.classes)
+    if isinstance(sol, tuple):  # the classes at one point, in the order found
+        return tuple(tuple(sorted(c)) for c in sol)
+    return tuple(sorted(sol))  # an ovoid
+
+
+def _trace(res):
+    digest = hashlib.sha256(repr([_solution_key(s) for s in res.solutions]).encode())
+    return (res.nodes, res.exhausted, res.budget_exceeded, len(res.solutions),
+            digest.hexdigest())
+
+
+def _tripled(seed):
+    return _relabeled(replicate(affine_plane(3), 3), seed, Design)
+
+
+# (nodes, exhausted, budget_exceeded, solutions, sha256 of the ordered
+# solutions); the search order is part of the contract, so a faster engine
+# must reproduce each trace exactly
+NO_SOLUTIONS = "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"
+FROZEN_TRACES = {
+    "ovoids W(4)": (
+        lambda: find_ovoids(symplectic_gq(4)),
+        (1790, True, False, 120, "045c8c0efda1f07505ad8152148cfcdd0e0735a31f010f8fa9728e3c4b7a3bf6")),
+    "ovoids Q(4,4)": (
+        lambda: find_ovoids(parabolic_gq(4)),
+        (1826, True, False, 120, "e1c0aa13f380e739cdbe0b9847c92d3819ab8215d1721ec4d093bc29c8dab412")),
+    "ovoids H(3,4)": (
+        lambda: find_ovoids(hermitian_gq(2)),
+        (1126, True, False, 200, "3c696becad441d7e47ea3db735b92315e7b0d9229433ca44f8454263c0eeaf26")),
+    "ovoids Q(4,3) seed 1": (
+        lambda: find_ovoids(_relabeled(parabolic_gq(3), 1, IncidenceStructure)),
+        (281, True, False, 36, "bedfbc33048a4f0b38c428ad8e186daef05204ac52800432d2d8f1444215a8d5")),
+    "ovoids Q(4,3) seed 2": (
+        lambda: find_ovoids(_relabeled(parabolic_gq(3), 2, IncidenceStructure)),
+        (281, True, False, 36, "1afca80f9a8e252b219a25a81aaf223c3f1d1c2eef191558c73b7c4be3df8c25")),
+    "ovoids W(5) seed 1": (
+        lambda: find_ovoids(_relabeled(symplectic_gq(5), 1, IncidenceStructure)),
+        (2436, True, False, 0, NO_SOLUTIONS)),
+    "ovoids W(5) seed 2": (
+        lambda: find_ovoids(_relabeled(symplectic_gq(5), 2, IncidenceStructure)),
+        (2437, True, False, 0, NO_SOLUTIONS)),
+    "ntlrs 3xAG(2,3)": (
+        lambda: find_ntlrs(replicate(affine_plane(3), 3)),
+        (8577, True, False, 72, "82addeb6a62038e60718346752bb246af6acaccb10b524d77e8ceed7665dd6f7")),
+    "ntlrs 4xAG(2,4) limit 3": (
+        lambda: find_ntlrs(replicate(affine_plane(4), 4), limit=3),
+        (82201, False, False, 3, "1a76e18f5d24b3e6e22b857328d9e9128d13fc51277a150eec3eac1aaf86b4de")),
+    "ntlrs GF(16) lambda 6": (
+        lambda: find_ntlrs(sprott_design(2, 4, 6)[1]),
+        (304, True, False, 1, "b5202dbab079635bb8a148ed60869f9be1d25b8cce14ea51f310bcd93b6bdcd0")),
+    "ntlrs Fano": (
+        lambda: find_ntlrs(fano_design()),
+        (14, True, False, 0, NO_SOLUTIONS)),
+    "ntlrs 5xAG(2,5) 30k nodes": (
+        lambda: find_ntlrs(replicate(affine_plane(5), 5), limit=1,
+                           budget=Budget(max_nodes=30_000)),
+        (30001, False, True, 0, NO_SOLUTIONS)),
+    "ntlrs H(3,4) last ovoid": (
+        lambda: find_ntlrs(_h34_design()),
+        (2068, True, False, 18, "2e86c8d235f0caddc32d6b47ec1a9e8486020f9ad4af59cc8a9c362fbdabf87d")),
+    "ntlrs 3xAG(2,3) seed 1": (
+        lambda: find_ntlrs(_tripled(1)),
+        (21615, True, False, 216, "d6e2ece3aff99203e223c949eb9b67ab659efa8c273e1dc2dfa96aa4acdba44f")),
+    "ntlrs 3xAG(2,3) seed 2": (
+        lambda: find_ntlrs(_tripled(2)),
+        (1761, True, False, 20, "3e82b23eab897ee2ccf6b7dfe2e1f605f0ec967ce5b6db24ff6ffea2c9f0826e")),
+    "ntlrs 3xAG(2,3) seed 3": (
+        lambda: find_ntlrs(_tripled(3)),
+        (12333, True, False, 108, "c27341ca4248153efd2407257bb2ada4db8ed2f3a0c1b66bc4d43426352cb4fb")),
+    "ntlrs 3xAG(2,3) seed 4": (
+        lambda: find_ntlrs(_tripled(4)),
+        (4566, True, False, 48, "13318e5a6cb5c0d477d70f2456703b54bd4a15732d88b1b7e265e64790272079")),
+    "ntlrs 3xAG(2,3) seed 5": (
+        lambda: find_ntlrs(_tripled(5)),
+        (6955, True, False, 96, "0529769082bd1dec5fb53333ae678e400208099d748ea4b93672878214a90d92")),
+    "ntlrs 3xAG(2,3) seed 6": (
+        lambda: find_ntlrs(_tripled(6)),
+        (11035, True, False, 144, "158a2d70d2d7b85d79379c2d59db55dc00b4be61dfcc63657e46c8cb8e2602d3")),
+    "local 3xAG(2,3) at 0": (
+        lambda: find_local_resolutions(replicate(affine_plane(3), 3), 0),
+        (13, True, False, 1, "842d58d754c756b0e28e5ef87d0398bfaaeba7db8bebbcaa975688a7a9f7be70")),
+    "local 3xAG(2,3) seed 4 at 5": (
+        lambda: find_local_resolutions(_tripled(4), 5),
+        (13, True, False, 1, "1827cebf70c5a48164f48dcf40c555c5c6a920fa46fe42c8e45c9032e2464c4e")),
+    "local 4xAG(2,4) at 6": (
+        lambda: find_local_resolutions(replicate(affine_plane(4), 4), 6, limit=50),
+        (21, True, False, 1, "75bd20e65f8ea4e44498b596fd32dddc781e85fb7face45b07c3891f07f4bfe1")),
+    "local GF(16) lambda 6 at 3": (
+        lambda: find_local_resolutions(sprott_design(2, 4, 6)[1], 3),
+        (19, True, False, 1, "1664bcfc624b7129c9bbe42666fcf2a8883b831303f89b182d918cbbefec9342")),
+    "local sprott q=4 at 7": (
+        lambda: find_local_resolutions(sprott_lrs(4)[0], 7),
+        (19, True, False, 1, "edcd27c877cf2ed7abd8568674a785998d91173943ff97bcb0bbbd1f6c5b9e1c")),
+    "local 5xAG(2,5) at 0": (
+        lambda: find_local_resolutions(replicate(affine_plane(5), 5), 0,
+                                       budget=Budget(max_nodes=5000)),
+        (31, True, False, 1, "be4d0dd3e86b2240f38a147536eb5f0a6c531665ce00272ce465cfa79968bd11")),
+    "local H(3,4) last ovoid at 0": (
+        lambda: find_local_resolutions(_h34_design(), 0),
+        (27, True, False, 2, "56158393983925c987e4250d78e1f8c5ba1b327dd4aa8229960d741835ce4303")),
+    "local H(3,4) last ovoid at 3": (
+        lambda: find_local_resolutions(_h34_design(), 3),
+        (67, True, False, 6, "50404b33bd60e70444e31889f28dc88be3e55ede0a84ba637ef31d0982a90282")),
+    "local H(3,4) last ovoid at 8": (
+        lambda: find_local_resolutions(_h34_design(), 8, limit=2),
+        (28, False, False, 2, "275372974533d4a3faa5d12eac197ec9cf836e86c4d3f0d570a721fece072e5f")),
+}
+
+
+@pytest.mark.parametrize("name", list(FROZEN_TRACES))
+def test_frozen_search_traces(name):
+    run, want = FROZEN_TRACES[name]
+    assert _trace(run()) == want

@@ -4,6 +4,9 @@ Every run prints an ordered key/value report to standard output; --report
 writes the same document to a file.  Exit codes: 0 success, 1 a verification
 or decision came back negative, 2 usage or file-format error, 3 a search ran
 out of budget before producing anything.
+
+Each handler imports the library modules it calls, so a short run of gqd
+loads and compiles only what its subcommand uses.
 """
 
 from __future__ import annotations
@@ -13,21 +16,17 @@ import hashlib
 import math
 import sys
 import time
+from typing import TYPE_CHECKING
 
-from .canon import BudgetExceeded, CanonStats, canonical_form, design_graph, \
-    designs_isomorphic, gq_isomorphic, incidence_graph
-from .correspondence import check_regular_traces, design_from_ovoid, \
-    detect_replication, gq_from_design, roundtrip_design, roundtrip_gq
-from .field import field_of_order
 from .fileformats import FormatError, parse_design, parse_incidence, \
     parse_lrs, parse_ovoid, write_design, write_incidence, write_lrs, \
     write_ovoid
-from .geometry import hermitian_gq, parabolic_gq, payne_derivation, \
-    symplectic_gq
-from .search import Budget, find_ntlrs, find_ovoids
-from .sprott import affine_plane, sprott_design, sprott_lrs
 from .structures import dual, verify_bibd, verify_gq, verify_lrs, \
     verify_non_triangular, verify_ovoid
+
+if TYPE_CHECKING:  # names used in annotations only
+    from .canon import CanonStats
+    from .search import Budget
 
 
 class UsageError(Exception):
@@ -106,6 +105,7 @@ def _seconds(text: str) -> float:
 
 
 def _budget(args) -> Budget | None:
+    from .search import Budget
     if getattr(args, "budget", None) is None:
         return None
     return Budget(max_seconds=args.budget)
@@ -125,6 +125,7 @@ def _search_exit(result, rep: Report) -> int:
 # --- construct -----------------------------------------------------------
 
 def cmd_construct(args, rep: Report) -> int:
+    from .field import field_of_order
     fam = args.family
     q = args.q
     rep.add("family", fam)
@@ -142,6 +143,7 @@ def cmd_construct(args, rep: Report) -> int:
         raise UsageError(str(exc)) from exc
 
     if fam in ("W", "Q4", "H3"):
+        from .geometry import hermitian_gq, parabolic_gq, symplectic_gq
         maker = {"W": symplectic_gq, "Q4": parabolic_gq, "H3": hermitian_gq}[fam]
         s = maker(q)
         params = verify_gq(s)
@@ -152,6 +154,7 @@ def cmd_construct(args, rep: Report) -> int:
         _write_text(args.out, write_incidence(s), rep, "output.incidence")
         return 0
 
+    from .sprott import affine_plane, sprott_design, sprott_lrs
     if fam == "AG":
         d = affine_plane(q)
         _report_design(d, rep, allow_degenerate=True)
@@ -242,6 +245,7 @@ def cmd_verify(args, rep: Report) -> int:
 # --- searches ------------------------------------------------------------
 
 def cmd_ovoids(args, rep: Report) -> int:
+    from .search import find_ovoids
     s = _load(args.incidence, parse_incidence, rep)
     limit = args.limit if args.limit else None
     result = find_ovoids(s, limit=limit, budget=_budget(args))
@@ -253,6 +257,7 @@ def cmd_ovoids(args, rep: Report) -> int:
 
 
 def cmd_ntlrs(args, rep: Report) -> int:
+    from .search import find_ntlrs
     d = _load(args.design, parse_design, rep)
     limit = args.limit if args.limit else None
     result = find_ntlrs(d, limit=limit, budget=_budget(args))
@@ -266,6 +271,7 @@ def cmd_ntlrs(args, rep: Report) -> int:
 # --- the correspondence --------------------------------------------------
 
 def cmd_map_n(args, rep: Report) -> int:
+    from .correspondence import design_from_ovoid
     s = _load(args.incidence, parse_incidence, rep)
     ovoid = _load(args.ovoid, parse_ovoid, rep)
     d, system = design_from_ovoid(s, ovoid)
@@ -278,6 +284,7 @@ def cmd_map_n(args, rep: Report) -> int:
 
 
 def cmd_map_m(args, rep: Report) -> int:
+    from .correspondence import gq_from_design
     d = _load(args.design, parse_design, rep)
     system = _load(args.lrs, parse_lrs, rep)
     labeled = gq_from_design(d, system)
@@ -296,6 +303,7 @@ def cmd_map_m(args, rep: Report) -> int:
 
 
 def cmd_roundtrip(args, rep: Report) -> int:
+    from .correspondence import roundtrip_design, roundtrip_gq
     rep.add("direction", args.direction)
     if args.direction == "design":
         d = _load(args.first, parse_design, rep)
@@ -310,6 +318,7 @@ def cmd_roundtrip(args, rep: Report) -> int:
 
 
 def cmd_prop32(args, rep: Report) -> int:
+    from .correspondence import check_regular_traces
     s = _load(args.incidence, parse_incidence, rep)
     ovoids = [_load(path, parse_ovoid, rep) for path in args.ovoids]
     code = 0
@@ -333,6 +342,7 @@ def cmd_prop32(args, rep: Report) -> int:
 
 
 def cmd_replicated(args, rep: Report) -> int:
+    from .correspondence import detect_replication
     d = _load(args.design, parse_design, rep)
     got = detect_replication(d)
     rep.add("replicated", got is not None)
@@ -360,6 +370,7 @@ def cmd_dual(args, rep: Report) -> int:
 
 
 def cmd_payne(args, rep: Report) -> int:
+    from .geometry import payne_derivation
     s = _load(args.incidence, parse_incidence, rep)
     if args.out is None:
         raise UsageError("payne requires --out")
@@ -377,6 +388,7 @@ def cmd_payne(args, rep: Report) -> int:
 # --- canonical forms -----------------------------------------------------
 
 def _graph_for(path: str, rep: Report, ovoid_path: str | None):
+    from .canon import design_graph, incidence_graph
     text = _read_input(path, rep)
     head = _sniff(path, text)
     if head == "inc":
@@ -405,6 +417,7 @@ def _canon_cut(stats: CanonStats, rep: Report) -> int:
 
 
 def cmd_canon(args, rep: Report) -> int:
+    from .canon import BudgetExceeded, canonical_form
     kind, graph = _graph_for(args.file, rep, args.ovoid)
     rep.add("kind", kind)
     try:
@@ -417,6 +430,8 @@ def cmd_canon(args, rep: Report) -> int:
 
 
 def cmd_iso(args, rep: Report) -> int:
+    from .canon import BudgetExceeded, CanonStats, designs_isomorphic, \
+        gq_isomorphic
     if (args.ovoid_a is None) != (args.ovoid_b is None):
         raise UsageError("give --ovoid-a and --ovoid-b together or not at all")
     text_a = _read_input(args.first, rep)

@@ -39,6 +39,7 @@ the size of a solution or of a design.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from typing import Optional
@@ -50,8 +51,21 @@ from .structures import (Design, IncidenceStructure, LocalResolutionSystem,
 
 @dataclass(frozen=True)
 class Budget:
+    """Limits on one search: nodes entered (an int >= 0) and wall-clock
+    seconds (a finite number >= 0); None is no limit, and 0 cuts the search
+    at its first node."""
+
     max_nodes: Optional[int] = None
     max_seconds: Optional[float] = None
+
+    def __post_init__(self):
+        nodes, seconds = self.max_nodes, self.max_seconds
+        if nodes is not None and not (isinstance(nodes, int) and nodes >= 0):
+            raise ValueError(f"max_nodes must be None or an int >= 0, got {nodes!r}")
+        if seconds is not None and not (isinstance(seconds, (int, float))
+                                        and 0 <= seconds < math.inf):
+            raise ValueError("max_seconds must be None or a finite number >= 0, "
+                             f"got {seconds!r}")
 
 
 @dataclass(frozen=True)
@@ -64,6 +78,8 @@ class ExactCoverInstance:
             raise ValueError("universe size cannot be negative")
         for idx, cand in enumerate(self.candidates):
             for e in cand:
+                if not isinstance(e, int):
+                    raise ValueError(f"candidate {idx} covers {e!r}, not an int")
                 if not 0 <= e < self.universe:
                     raise ValueError(
                         f"candidate {idx} covers element {e} outside 0..{self.universe - 1}")
@@ -89,7 +105,7 @@ class _Meter:
 
     def __init__(self, budget: Optional[Budget], every: int = 1024):
         self.nodes = 0
-        self.every = every  # read the clock once per this many nodes
+        self.every = every  # read the clock at node 1, 1 + every, ...
         self.max_nodes = budget.max_nodes if budget else None
         self.deadline = None
         if budget and budget.max_seconds is not None:
@@ -99,8 +115,8 @@ class _Meter:
         self.nodes += 1
         if self.max_nodes is not None and self.nodes > self.max_nodes:
             raise _Stop(True)
-        if self.deadline is not None and self.nodes % self.every == 0:
-            if time.monotonic() > self.deadline:
+        if self.deadline is not None and (self.nodes - 1) % self.every == 0:
+            if time.monotonic() >= self.deadline:
                 raise _Stop(True)
 
 

@@ -1,8 +1,10 @@
+import json
 import subprocess
 import sys
 
 import pytest
 
+from gqdesigns.correspondence import design_from_ovoid
 from gqdesigns.fileformats import (
     parse_design,
     parse_incidence,
@@ -10,10 +12,12 @@ from gqdesigns.fileformats import (
     parse_ovoid,
     write_design,
     write_incidence,
+    write_lrs,
+    write_ovoid,
 )
 from gqdesigns.structures import DesignParams, GQParams, verify_bibd, verify_gq
 
-from conftest import FANO_BLOCKS, child_env
+from conftest import FANO_BLOCKS, _w2, _w2_ovoids, child_env
 
 
 def run(*args, cwd):
@@ -199,6 +203,16 @@ def test_bad_search_arguments_are_usage_errors(w2_file, tmp_path):
     assert report_of(proc)["command"] == "ovoids"
 
 
+def test_zero_budget_cuts_a_short_search(w2_file, tmp_path):
+    # W(2) is exhausted in 28 nodes; the clock is read at the first one
+    proc = run("ovoids", "w2.inc", "--budget", "0", cwd=tmp_path)
+    assert proc.returncode == 3
+    rep = report_of(proc)
+    assert rep["budget_exceeded"] == "true"
+    assert rep["found"] == "0"
+    assert rep["nodes"] == "1"
+
+
 def test_budget_exhaustion_gives_exit_three(tmp_path):
     proc = run("construct", "--family", "W", "--q", "5", "--out", "w5.inc",
                cwd=tmp_path)
@@ -336,3 +350,84 @@ def test_threads_and_seed_are_rejected(w2_file, tmp_path):
         proc = run("ovoids", "w2.inc", *option, cwd=tmp_path)
         assert proc.returncode == 2, option
         assert "unrecognized arguments" in proc.stderr
+
+
+# ---------------------------------------------------------
+# what each subcommand imports
+# ---------------------------------------------------------
+
+# Runs gqd in this interpreter with its report captured, then prints the exit
+# code, the gqdesigns modules loaded and whether dataclasses was loaded.
+_IMPORT_PROBE = """
+import contextlib, io, json, runpy, sys
+with contextlib.redirect_stdout(io.StringIO()):
+    try:
+        runpy.run_module("gqdesigns.cli", run_name="__main__")
+    except SystemExit as exc:
+        code = exc.code
+print(json.dumps([code, sorted(m for m in sys.modules
+                               if m.startswith("gqdesigns.")),
+                  "dataclasses" in sys.modules]))
+"""
+
+FILES = {"fileformats", "structures"}
+SEARCH = FILES | {"search"}
+CANON = SEARCH | {"canon"}
+MAPS = FILES | {"correspondence", "geometry", "field"}
+GEOMETRY = FILES | {"geometry", "field"}
+SPROTT = FILES | {"sprott", "field"}
+
+IMPORT_CASES = [
+    (("construct", "--family", "W", "--q", "2", "--out", "o.inc"), GEOMETRY),
+    (("construct", "--family", "AG", "--q", "3", "--out", "o.design"), SPROTT),
+    (("construct", "--family", "sprott", "--q", "5", "--lambda", "3",
+      "--out", "o.design"), SPROTT),
+    (("verify", "gq", "w2.inc"), FILES),
+    (("verify", "bibd", "w2.design"), FILES),
+    (("verify", "ovoid", "w2.inc", "ov0.ovoid"), FILES),
+    (("verify", "lrs", "w2.design", "w2.lrs"), FILES),
+    (("verify", "ntlrs", "w2.design", "w2.lrs"), FILES),
+    (("dual", "w2.inc", "--out", "o.inc"), FILES),
+    (("ovoids", "w2.inc", "--limit", "1"), SEARCH),
+    (("ntlrs", "w2.design"), SEARCH),
+    (("canon", "w2.inc"), CANON),
+    (("iso", "w2.inc", "w2.inc", "--ovoid-a", "ov0.ovoid",
+      "--ovoid-b", "ov1.ovoid"), CANON),
+    (("iso", "w2.design", "w2.design"), CANON),
+    (("map-n", "w2.inc", "ov0.ovoid", "--design-out", "o.design"), MAPS),
+    (("map-m", "w2.design", "w2.lrs", "--inc-out", "o.inc"), MAPS),
+    (("roundtrip", "gq", "w2.inc", "ov0.ovoid"), MAPS),
+    (("roundtrip", "design", "w2.design", "w2.lrs"), MAPS),
+    (("prop32", "w2.inc", "ov0.ovoid"), MAPS),
+    (("replicated", "w2.design"), MAPS),
+    (("payne", "w2.inc", "--point", "0", "--out", "o.inc"), GEOMETRY),
+]
+
+
+@pytest.fixture(scope="module")
+def import_inputs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("imports")
+    s, ovoids = _w2(), _w2_ovoids()
+    d, system = design_from_ovoid(s, ovoids[0])
+    (root / "w2.inc").write_text(write_incidence(s))
+    for i in range(2):
+        (root / f"ov{i}.ovoid").write_text(write_ovoid(ovoids[i]))
+    (root / "w2.design").write_text(write_design(d))
+    (root / "w2.lrs").write_text(write_lrs(system))
+    return root
+
+
+@pytest.mark.parametrize("args, modules", IMPORT_CASES,
+                         ids=[" ".join(a[:3] if a[0] == "construct" else a[:2])
+                              for a, _ in IMPORT_CASES])
+def test_subcommand_loads_only_what_it_runs(args, modules, import_inputs):
+    # every handler runs here, so a name its imports forgot fails too
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, *args],
+                          capture_output=True, text=True, cwd=import_inputs,
+                          env=child_env())
+    assert proc.returncode == 0, proc.stderr
+    code, loaded, dataclasses = json.loads(proc.stdout)
+    assert code in (0, 1), proc.stderr
+    assert loaded == sorted(f"gqdesigns.{m}" for m in modules)
+    if modules == FILES:
+        assert not dataclasses

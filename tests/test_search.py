@@ -110,6 +110,47 @@ def test_candidate_validation():
         ExactCoverInstance(2, (frozenset({0, 5}),))
     with pytest.raises(ValueError):
         ExactCoverInstance(-1, ())
+    # not an int: the search would fail on << instead
+    with pytest.raises(ValueError, match="candidate 1 covers 1.5"):
+        ExactCoverInstance(3, (frozenset({0}), frozenset({1.5})))
+
+
+@pytest.mark.parametrize("fields", [
+    {"max_seconds": float("nan")},  # would never cut
+    {"max_seconds": float("inf")},
+    {"max_seconds": -0.5},
+    {"max_seconds": "1"},
+    {"max_nodes": -3},  # would cut at the first node
+    {"max_nodes": 2.5},
+])
+def test_budget_rejects_bad_limits(fields):
+    with pytest.raises(ValueError, match=next(iter(fields))):
+        Budget(**fields)
+
+
+def test_budget_accepts_its_bounds():
+    assert Budget(max_nodes=0, max_seconds=0).max_nodes == 0
+    assert Budget(max_seconds=3).max_seconds == 3
+    assert Budget() == Budget(None, None)
+
+
+@pytest.mark.parametrize("every, reads", [(1, 9), (4, 3), (1024, 1)])
+def test_meter_reads_the_clock_at_the_first_node_then_every_n(every, reads):
+    # nodes 1, 1 + every, 1 + 2 * every, ... read the clock
+    with mock.patch.object(search.time, "monotonic", return_value=0.0) as clock:
+        meter = search._Meter(Budget(max_seconds=100.0), every=every)
+        for _ in range(9):
+            meter.tick()
+    assert clock.call_count == 1 + reads  # the first call sets the deadline
+
+
+def test_zero_time_budget_cuts_a_short_search():
+    # W(2) is exhausted in 28 nodes, fewer than the 1024 between clock reads
+    res = find_ovoids(symplectic_gq(2), budget=Budget(max_seconds=0))
+    assert res.budget_exceeded
+    assert not res.exhausted
+    assert res.solutions == []
+    assert res.nodes == 1
 
 
 def test_long_cover_does_not_recurse():

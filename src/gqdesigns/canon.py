@@ -99,6 +99,9 @@ def incidence_graph(s: IncidenceStructure,
     """Bipartite point/line graph; an ovoid, if given, marks its points."""
     marked = frozenset(ovoid) if ovoid is not None else frozenset()
     v = s.point_count
+    for p in sorted(marked):
+        if not 0 <= p < v:
+            raise ValueError(f"marked point {p} outside 0..{v - 1}")
     edges = []
     for j, line in enumerate(s.lines):
         for p in line:

@@ -59,12 +59,16 @@ def _read_input(path: str, rep: Report) -> str:
     return text
 
 
-def _write_text(path: str, text: str, rep: Report, key: str) -> None:
+def _save(path: str, text: str) -> None:
     try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
     except OSError as exc:
         raise UsageError(f"cannot write {path}: {exc.strerror}") from exc
+
+
+def _write_text(path: str, text: str, rep: Report, key: str) -> None:
+    _save(path, text)
     rep.add(key, path)
 
 
@@ -609,10 +613,7 @@ def main(argv=None) -> int:
     start = time.monotonic()
     try:
         code = args.func(args, rep)
-    except UsageError as exc:
-        print(f"gqd {args.cmd}: {exc}", file=sys.stderr)
-        return 2
-    except FormatError as exc:
+    except (UsageError, FormatError) as exc:
         print(f"gqd {args.cmd}: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:
@@ -622,10 +623,13 @@ def main(argv=None) -> int:
     rep.add("elapsed_seconds", f"{time.monotonic() - start:.3f}")
     rep.add("exit_code", code)
     doc = rep.render()
+    if args.report is not None:  # before stdout, so a failed write prints no report
+        try:
+            _save(args.report, doc)
+        except UsageError as exc:
+            print(f"gqd {args.cmd}: {exc}", file=sys.stderr)
+            return 2
     sys.stdout.write(doc)
-    if args.report is not None:
-        with open(args.report, "w", encoding="utf-8", newline="") as fh:
-            fh.write(doc)
     return code
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .geometry import is_regular_pair, trace_pair
+from .geometry import is_regular_pair
 from .structures import (Design, DesignParams, GQParams, IncidenceStructure,
                          LocalResolutionSystem, verify_bibd, verify_gq,
                          verify_lrs, verify_non_triangular, verify_ovoid)
@@ -223,38 +223,34 @@ class RegularTraceReport:
 
 
 def check_regular_traces(s: IncidenceStructure, ovoid) -> RegularTraceReport:
+    """Regular-trace coverage of a GQ(s,t) with an ovoid O, read off its blocks.
+
+    The partners y of an outside point x, those with {x,y}^perp inside O, are
+    exactly its twins: the other outside points with the same block.  The
+    trace and each block have t + 1 points and the trace lies in x^perp and
+    y^perp, so a trace inside O is both blocks; and collinear points share
+    only the ovoid point of their line, so twins are non-collinear and their
+    trace is their block.  Each x tries its twins in ascending order.
+    """
     params = _verify_gq_with_ovoid(s, ovoid)
     o_set = frozenset(ovoid)
-    o_points = sorted(o_set)
-    o_index = {p: i for i, p in enumerate(o_points)}
     outside = [x for x in range(s.point_count) if x not in o_set]
+    blocks = _design_from_ovoid(s, o_set)[0].blocks
+    twins: dict[tuple[int, ...], list[int]] = {}
+    for x, blk in zip(outside, blocks):
+        twins.setdefault(blk, []).append(x)
 
-    trace_images = set()
     witnesses: dict[int, int] = {}
-    failed: Optional[int] = None
-    for x in outside:
-        found = None
-        for y in outside:
-            if y == x or (s.neighbor_masks[x] >> y) & 1:
-                continue
-            tr = trace_pair(s, x, y)
-            if not tr <= o_set:
-                continue
-            if not is_regular_pair(s, x, y):
-                continue
-            trace_images.add(frozenset(o_index[z] for z in tr))
-            if found is None:
-                found = y
-        if found is None and failed is None:
-            failed = x
-        if found is not None:
-            witnesses[x] = found
-
-    counts = _design_from_ovoid(s, o_set)[0].multiplicities
-    blocks_replicated = all(c == 1 + params.t for c in counts.values())
-    blocks_are_traces = all(frozenset(blk) in trace_images for blk in counts)
-    return RegularTraceReport(failed is None, witnesses, failed,
-                              blocks_replicated, blocks_are_traces)
+    for x, blk in zip(outside, blocks):
+        for y in twins[blk]:
+            if y != x and is_regular_pair(s, x, y):
+                witnesses[x] = y
+                break
+    failed = next((x for x in outside if x not in witnesses), None)
+    return RegularTraceReport(
+        failed is None, witnesses, failed,
+        all(len(g) == 1 + params.t for g in twins.values()),
+        all(any(x in witnesses for x in g) for g in twins.values()))
 
 
 def detect_replication(d: Design) -> Optional[tuple[Design, int]]:

@@ -110,10 +110,14 @@ def hermitian_gq(q: int) -> IncidenceStructure:
         lambda x: tuple(frob[c] for c in x))  # B(x, y) = sum x_i y_i^q, raised to q
 
 
-def perp(s: IncidenceStructure, x: int) -> frozenset[int]:
-    """x together with every point collinear with x."""
+def _check_point(s: IncidenceStructure, x: int) -> None:
     if not 0 <= x < s.point_count:
         raise ValueError(f"point {x} out of range")
+
+
+def perp(s: IncidenceStructure, x: int) -> frozenset[int]:
+    """x together with every point collinear with x."""
+    _check_point(s, x)
     return _mask_to_set(s.neighbor_masks[x] | (1 << x))
 
 
@@ -162,6 +166,7 @@ def is_regular_pair(s: IncidenceStructure, x: int, y: int) -> bool:
 def is_regular_point(s: IncidenceStructure, x: int) -> bool:
     """Whether every pair {x, y} with y non-collinear to x is regular."""
     verify_gq(s)
+    _check_point(s, x)
     reach = s.neighbor_masks[x] | (1 << x)
     for y in range(s.point_count):
         if (reach >> y) & 1:
@@ -179,6 +184,7 @@ def payne_derivation(s: IncidenceStructure, x: int) -> IncidenceStructure:
     with x removed (spans counted once).  Order (q - 1, q + 1).
     """
     params = verify_gq(s)
+    _check_point(s, x)
     if params.s != params.t:
         raise ValueError(f"derivation needs order (q, q), got {tuple(params)}")
     if not is_regular_point(s, x):

@@ -129,6 +129,20 @@ def test_large_classical_quadrangles_build_fast():
     print(f"Q(4,9) built and verified ({dt:.2f}s), H(3,9) ({dh:.2f}s)")
 
 
+def test_regular_traces_on_hermitian_q3_are_fast():
+    # 252 outside points: each tries only the points sharing its block
+    s = hermitian_gq(3)
+    o = find_ovoids(s, limit=1).solutions[0]
+    elapsed = clock()
+    report = check_regular_traces(s, o)
+    dt = elapsed()
+    assert report.ok and report.failed_point is None
+    assert len(report.witnesses) == 252
+    assert report.blocks_replicated and report.blocks_are_traces
+    assert dt < 0.03
+    print(f"H(3,9) regular traces checked ({dt * 1000:.1f}ms)")
+
+
 # ---------------------------------------------------------
 # difference-family designs and their systems
 # ---------------------------------------------------------

@@ -228,6 +228,14 @@ def test_ovoids_must_come_in_pairs(w2, w2_ovoids):
         gq_isomorphic(w2, w2, w2_ovoids[0], None)
 
 
+def test_marked_points_must_lie_in_the_structure(w2):
+    for bad, name in (({99}, "99"), ({0, 99}, "99"), ({-1, 3}, "-1")):
+        with pytest.raises(ValueError, match=f"marked point {name} outside"):
+            incidence_graph(w2, bad)
+    with pytest.raises(ValueError, match="99"):
+        gq_isomorphic(w2, w2, {0, 99}, {0})
+
+
 def test_incidence_vs_networkx_on_small_corpus(w2):
     nx = pytest.importorskip("networkx")
     rng = random.Random(15)

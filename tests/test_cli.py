@@ -333,6 +333,35 @@ def test_payne_on_non_regular_point_fails_with_one(tmp_path):
     assert report_of(proc)["verified"] == "false"
 
 
+def test_payne_on_a_point_out_of_range_fails_with_one(w2_file, tmp_path):
+    for point in ("15", "-1"):
+        proc = run("payne", "w2.inc", "--point", point, "--out", "x.inc",
+                   cwd=tmp_path)
+        assert proc.returncode == 1, proc.stderr
+        rep = report_of(proc)
+        assert rep["verified"] == "false"
+        assert rep["failure"] == "ValueError"
+        assert rep["detail"] == f"point {point} out of range"
+        assert not (tmp_path / "x.inc").exists()
+
+
+def test_marked_points_outside_the_structure_fail_with_one(w2_file, tmp_path):
+    (tmp_path / "far.ovoid").write_text("ovoid 1\n99\n")
+    (tmp_path / "near_far.ovoid").write_text("ovoid 2\n0 99\n")
+    (tmp_path / "near.ovoid").write_text("ovoid 1\n0\n")
+    runs = [("canon", "w2.inc", "--ovoid", "far.ovoid"),
+            ("iso", "w2.inc", "w2.inc", "--ovoid-a", "near_far.ovoid",
+             "--ovoid-b", "near.ovoid")]
+    for args in runs:
+        proc = run(*args, cwd=tmp_path)
+        assert proc.returncode == 1, args
+        rep = report_of(proc)
+        assert rep["verified"] == "false"
+        assert rep["failure"] == "ValueError"
+        assert "99" in rep["detail"]
+        assert "digest" not in rep and "isomorphic" not in rep
+
+
 # ---------------------------------------------------------
 # report plumbing
 # ---------------------------------------------------------
@@ -341,6 +370,15 @@ def test_report_file_matches_stdout(w2_file, tmp_path):
     proc = run("verify", "gq", "w2.inc", "--report", "r.txt", cwd=tmp_path)
     assert proc.returncode == 0
     assert (tmp_path / "r.txt").read_text() == proc.stdout
+
+
+def test_unwritable_report_path_is_a_usage_error(w2_file, tmp_path):
+    proc = run("verify", "gq", "w2.inc", "--report", "missing/r.txt",
+               cwd=tmp_path)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("gqd verify: cannot write missing/r.txt: ")
+    assert "Traceback" not in proc.stderr
 
 
 def test_threads_and_seed_are_rejected(w2_file, tmp_path):

@@ -1,5 +1,7 @@
+import collections
 import contextlib
 import itertools
+import random
 from unittest import mock
 
 import pytest
@@ -8,6 +10,7 @@ from gqdesigns import canon, correspondence
 from gqdesigns.canon import designs_isomorphic, gq_isomorphic
 from gqdesigns.correspondence import (
     OvoidLabeledGQ,
+    RegularTraceReport,
     check_regular_traces,
     design_from_ovoid,
     detect_replication,
@@ -16,7 +19,8 @@ from gqdesigns.correspondence import (
     roundtrip_design,
     roundtrip_gq,
 )
-from gqdesigns.geometry import hermitian_gq, parabolic_gq
+from gqdesigns.geometry import (hermitian_gq, is_regular_pair, parabolic_gq,
+                                trace_pair)
 from gqdesigns.search import find_ovoids, find_ntlrs
 from gqdesigns.sprott import affine_plane, replicate, sprott_design
 from gqdesigns.structures import (
@@ -231,6 +235,68 @@ def test_regular_trace_check_negative(gq42):
     report = check_regular_traces(gq42, res.solutions[0])
     assert not report.ok
     assert report.failed_point is not None
+
+
+def _reference_regular_traces(s, ovoid):
+    """The all-pairs scan: every ordered pair of outside points is tried."""
+    t = verify_gq(s).t
+    o_set = frozenset(ovoid)
+    o_index = {p: i for i, p in enumerate(sorted(o_set))}
+    outside = [x for x in range(s.point_count) if x not in o_set]
+    trace_images = set()
+    witnesses = {}
+    failed = None
+    for x in outside:
+        found = None
+        for y in outside:
+            if y == x or (s.neighbor_masks[x] >> y) & 1:
+                continue
+            tr = trace_pair(s, x, y)
+            if tr <= o_set and is_regular_pair(s, x, y):
+                trace_images.add(frozenset(o_index[z] for z in tr))
+                if found is None:
+                    found = y
+        if found is not None:
+            witnesses[x] = found
+        elif failed is None:
+            failed = x
+    counts = collections.Counter(
+        frozenset(o_index[p] for p in o_set if (s.neighbor_masks[x] >> p) & 1)
+        for x in outside)
+    return RegularTraceReport(
+        failed is None, witnesses, failed,
+        all(c == 1 + t for c in counts.values()),
+        all(blk in trace_images for blk in counts))
+
+
+def _relabeled(s, ovoid, rng):
+    perm = list(range(s.point_count))
+    rng.shuffle(perm)
+    lines = [[perm[p] for p in line] for line in s.lines]
+    rng.shuffle(lines)
+    return IncidenceStructure(s.point_count, lines), {perm[p] for p in ovoid}
+
+
+def test_regular_traces_match_the_all_pairs_scan(w2, gq42):
+    rng = random.Random(32)
+    checked = 0
+    for s in (w2, parabolic_gq(3), parabolic_gq(4), hermitian_gq(2), gq42):
+        for o in find_ovoids(s).solutions:
+            cases = [(s, o)] + [_relabeled(s, o, rng) for _ in range(2)]
+            for gq, ovoid in cases:
+                got = check_regular_traces(gq, ovoid)
+                assert got == _reference_regular_traces(gq, ovoid)
+                assert list(got.witnesses) == sorted(got.witnesses)
+                checked += 1
+    assert checked == 3 * (6 + 36 + 120 + 200 + 200)
+
+
+def test_regular_trace_report_on_a_failing_ovoid():
+    s = parabolic_gq(4)
+    o = find_ovoids(s, limit=1).solutions[0]
+    assert check_regular_traces(s, o) == RegularTraceReport(
+        ok=False, witnesses={}, failed_point=2, blocks_replicated=False,
+        blocks_are_traces=False)
 
 
 def test_regular_trace_induced_design_is_a_tripled_plane(gq42):

@@ -162,6 +162,14 @@ def test_payne_rejects_non_regular_point():
         payne_derivation(s, 0)
 
 
+def test_payne_and_regularity_reject_points_out_of_range():
+    s = symplectic_gq(3)
+    for x in (s.point_count, -1):
+        for fn in (payne_derivation, is_regular_point, perp):
+            with pytest.raises(ValueError, match=f"point {x} out of range"):
+                fn(s, x)
+
+
 def test_payne_rejects_unequal_orders(gq42):
     with pytest.raises(ValueError):
         payne_derivation(gq42, 0)

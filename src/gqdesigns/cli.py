@@ -150,11 +150,7 @@ def cmd_construct(args, rep: Report) -> int:
         from .geometry import hermitian_gq, parabolic_gq, symplectic_gq
         maker = {"W": symplectic_gq, "Q4": parabolic_gq, "H3": hermitian_gq}[fam]
         s = maker(q)
-        params = verify_gq(s)
-        rep.add("params.s", params.s)
-        rep.add("params.t", params.t)
-        rep.add("points", s.point_count)
-        rep.add("lines", len(s.lines))
+        _report_gq(s, rep)
         _write_text(args.out, write_incidence(s), rep, "output.incidence")
         return 0
 
@@ -189,6 +185,14 @@ def cmd_construct(args, rep: Report) -> int:
     _report_design(d, rep)
     _write_text(args.out, write_design(d), rep, "output.design")
     return 0
+
+
+def _report_gq(s, rep: Report) -> None:
+    params = verify_gq(s)
+    rep.add("params.s", params.s)
+    rep.add("params.t", params.t)
+    rep.add("points", s.point_count)
+    rep.add("lines", len(s.lines))
 
 
 def _report_design(d, rep: Report, allow_degenerate: bool = False,
@@ -293,11 +297,7 @@ def cmd_map_m(args, rep: Report) -> int:
     system = _load(args.lrs, parse_lrs, rep)
     labeled = gq_from_design(d, system)
     s = labeled.structure
-    params = verify_gq(s)
-    rep.add("params.s", params.s)
-    rep.add("params.t", params.t)
-    rep.add("points", s.point_count)
-    rep.add("lines", len(s.lines))
+    _report_gq(s, rep)
     if args.inc_out is not None:
         _write_text(args.inc_out, write_incidence(s), rep, "output.incidence")
     if args.ovoid_out is not None:
@@ -380,11 +380,7 @@ def cmd_payne(args, rep: Report) -> int:
         raise UsageError("payne requires --out")
     rep.add("point", args.point)
     t = payne_derivation(s, args.point)
-    params = verify_gq(t)
-    rep.add("params.s", params.s)
-    rep.add("params.t", params.t)
-    rep.add("points", t.point_count)
-    rep.add("lines", len(t.lines))
+    _report_gq(t, rep)
     _write_text(args.out, write_incidence(t), rep, "output.incidence")
     return 0
 

@@ -76,20 +76,27 @@ def _header(reader: _Reader, keyword: str, arity: int) -> list[int]:
     return vals
 
 
-def parse_incidence(text: str, path: str = "<incidence>") -> IncidenceStructure:
+def _parse_rows(text: str, path: str, keyword: str, noun: str) -> tuple[int, list[list[int]]]:
+    """The header's point count and the rows it promises, each a list of
+    point indices; noun names one row in messages."""
     reader = _Reader(text, path)
-    points, nlines = _header(reader, "inc", 2)
-    lines = []
-    for _ in range(nlines):
-        lineno, raw = reader.take("a line of point indices")
+    points, nrows = _header(reader, keyword, 2)
+    rows = []
+    for _ in range(nrows):
+        lineno, raw = reader.take(f"a {noun} of point indices")
         pts = _ints(reader, lineno, raw)
         for p in pts:
             if not 0 <= p < points:
                 reader.fail(lineno, 1, f"point index {p} outside 0..{points - 1}")
-        lines.append(pts)
+        rows.append(pts)
     if not reader.done():
         lineno, _ = reader.take("nothing")
-        reader.fail(lineno, 1, f"expected {nlines} lines per the header, found more")
+        reader.fail(lineno, 1, f"expected {nrows} {noun}s per the header, found more")
+    return points, rows
+
+
+def parse_incidence(text: str, path: str = "<incidence>") -> IncidenceStructure:
+    points, lines = _parse_rows(text, path, "inc", "line")
     try:
         return IncidenceStructure(points, lines)
     except ValueError as exc:
@@ -97,19 +104,7 @@ def parse_incidence(text: str, path: str = "<incidence>") -> IncidenceStructure:
 
 
 def parse_design(text: str, path: str = "<design>") -> Design:
-    reader = _Reader(text, path)
-    v, b = _header(reader, "design", 2)
-    blocks = []
-    for _ in range(b):
-        lineno, raw = reader.take("a block of point indices")
-        pts = _ints(reader, lineno, raw)
-        for p in pts:
-            if not 0 <= p < v:
-                reader.fail(lineno, 1, f"point index {p} outside 0..{v - 1}")
-        blocks.append(pts)
-    if not reader.done():
-        lineno, _ = reader.take("nothing")
-        reader.fail(lineno, 1, f"expected {b} blocks per the header, found more")
+    v, blocks = _parse_rows(text, path, "design", "block")
     try:
         return Design(v, blocks)
     except ValueError as exc:
@@ -168,18 +163,19 @@ def parse_lrs(text: str, path: str = "<lrs>") -> LocalResolutionSystem:
         raise FormatError(path, 1, 1, str(exc)) from exc
 
 
-def write_incidence(s: IncidenceStructure) -> str:
-    out = [f"inc {s.point_count} {len(s.lines)}"]
+def _write_rows(keyword: str, s: IncidenceStructure) -> str:
+    out = [f"{keyword} {s.point_count} {len(s.lines)}"]
     for line in s.lines:
         out.append(" ".join(str(p) for p in line))
     return "\n".join(out) + "\n"
 
 
+def write_incidence(s: IncidenceStructure) -> str:
+    return _write_rows("inc", s)
+
+
 def write_design(d: Design) -> str:
-    out = [f"design {d.point_count} {len(d.blocks)}"]
-    for blk in d.blocks:
-        out.append(" ".join(str(p) for p in blk))
-    return "\n".join(out) + "\n"
+    return _write_rows("design", d)
 
 
 def write_ovoid(ovoid) -> str:

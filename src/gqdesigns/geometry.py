@@ -123,6 +123,8 @@ def perp(s: IncidenceStructure, x: int) -> frozenset[int]:
 
 def trace_pair(s: IncidenceStructure, x: int, y: int) -> frozenset[int]:
     """Intersection of the perps of two distinct points."""
+    _check_point(s, x)
+    _check_point(s, y)
     if x == y:
         raise ValueError("trace needs two distinct points")
     mx = s.neighbor_masks[x] | (1 << x)
@@ -132,6 +134,8 @@ def trace_pair(s: IncidenceStructure, x: int, y: int) -> frozenset[int]:
 
 def span_pair(s: IncidenceStructure, x: int, y: int) -> frozenset[int]:
     """Points collinear with every point of trace_pair(s, x, y)."""
+    _check_point(s, x)
+    _check_point(s, y)
     if x == y:
         raise ValueError("span needs two distinct points")
     mx = s.neighbor_masks[x] | (1 << x)
@@ -157,6 +161,8 @@ def _mask_to_set(mask: int) -> frozenset[int]:
 
 def is_regular_pair(s: IncidenceStructure, x: int, y: int) -> bool:
     """Whether the span of a non-collinear pair reaches its maximum size t + 1."""
+    _check_point(s, x)
+    _check_point(s, y)
     params = verify_gq(s)
     if x == y or (s.neighbor_masks[x] >> y) & 1:
         raise ValueError("regularity is defined for non-collinear point pairs")

@@ -15,22 +15,21 @@ ends the scan and the node at once.  Candidates are tried in ascending index
 order, and choosing i clears conflict[i] from alive.  nodes ticks once per
 node entered, the root and every complete cover included.
 
-Resolution search (find_local_resolutions, find_ntlrs) partitions the
-instances through one point p at a time into parallel classes.  It keeps
-through[x], the instances through point x; unused, the instances through p
-not yet in a class at p; and nbr[b], every instance already co-class with b.
-A class is started by the lowest unused instance and grows by covering the
-lowest point t it misses, trying the instances of unused & through[t] in
-ascending order.  Instance i joins when it meets the class only at p, its
-lower identical twin is not still waiting (the ascending-consumption rule
-for repeated blocks), and nbr[i] & reach == 0, where reach is the union of
-nbr over the class's members.  That last test is the pairwise triangle
-check: it fails exactly when some instance is co-class with both i and a
-member at two other points.  nbr is set when a class closes and undone on
-backtrack, so at the one point of find_local_resolutions it stays zero and
-the test always passes.  nodes ticks once each time a next class is begun
-at a point (also when no instance is left, which completes the point) and
-once per growth step that still has a point to cover.
+Resolution search (find_ntlrs) partitions the instances through each point
+p in turn, in ascending order, into parallel classes.  It keeps through[x],
+the instances through point x; unused, the instances through p not yet in a
+class at p; and nbr[b], every instance already co-class with b.  A class is
+started by the lowest unused instance and grows by covering the lowest point
+t it misses, trying the instances of unused & through[t] in ascending order.
+Instance i joins when it meets the class only at p, its lower identical twin
+is not still waiting (the ascending-consumption rule for repeated blocks,
+which binds at the block's lowest point), and nbr[i] & reach == 0, where
+reach is the union of nbr over the class's members.  That last test is the
+pairwise triangle check: it fails exactly when some instance is co-class
+with both i and a member at two other points.  nbr is set when a class
+closes and undone on backtrack.  nodes ticks once each time a next class is
+begun at a point (also when no instance is left, which completes the point)
+and once per growth step that still has a point to cover.
 
 Both searches run from an explicit stack of branching nodes, each holding
 its untried candidates, so the interpreter's stack depth does not grow with
@@ -221,107 +220,123 @@ def find_ovoids(s: IncidenceStructure, limit: Optional[int] = None,
     return res
 
 
-class _ResolutionSearch:
-    """Shared engine for local-resolution enumeration.
+def find_ntlrs(design: Design, limit: Optional[int] = None,
+               budget: Optional[Budget] = None) -> SearchResult:
+    """Non-triangular local resolution systems of a verified BIBD.
 
-    Canonical form: at each point, classes are generated in ascending order of
-    their smallest member, and each class grows by always covering the lowest
-    uncovered point next.  Repeated block contents are interchangeable, so
-    instances of one content are consumed in ascending index order; the rule
-    binds at a single point per content (its lowest point) in system mode,
-    where one point's choice fixes the alignment everywhere, and at every
-    point in single-point mode.
+    Builds one point at a time in ascending point order, admitting an
+    instance to a class only if no instance is already co-class with both it
+    and a member, so every emitted system is non-triangular by construction
+    (and re-verified before it is returned).  At each point, classes are
+    generated in ascending order of their smallest member, and each class
+    grows by always covering the lowest uncovered point next.  Repeated block
+    contents are interchangeable, so the instances of one content are
+    consumed in ascending index order at the content's lowest point; that
+    one point's choice fixes their alignment everywhere.
     """
+    params = verify_bibd(design)
+    if limit is not None and limit < 1:
+        raise ValueError("limit must be positive")
+    v = design.point_count
+    if (v - 1) % (params.k - 1):
+        return SearchResult([], True, 0)
+    meter = _Meter(budget)
+    tick = meter.tick
+    masks = design.line_masks
+    full = (1 << v) - 1
+    through = [0] * v
+    for i, blk in enumerate(design.blocks):
+        for x in blk:
+            through[x] |= 1 << i
+    # guard[p][i] is the bit of i's next lower twin: at p, i may join a
+    # class only once that twin has
+    guard: list[dict[int, int]] = [{} for _ in range(v)]
+    groups: dict[tuple, list[int]] = {}
+    for i, blk in enumerate(design.blocks):
+        groups.setdefault(blk, []).append(i)
+    for content, members in groups.items():
+        for prev, i in zip(members, members[1:]):
+            guard[content[0]][i] = 1 << prev
+    nbr = [0] * len(masks)
+    # (point, class mask) in the order the classes closed, so the classes of
+    # each point are contiguous and points ascend
+    closed: list[tuple[int, int]] = []
+    systems: list[LocalResolutionSystem] = []
 
-    def __init__(self, design: Design, meter: _Meter, rule_all_groups: bool):
-        self.meter = meter
-        self.masks = design.line_masks
-        self.full = (1 << design.point_count) - 1
-        self.through = [0] * design.point_count
-        for i, blk in enumerate(design.blocks):
-            for x in blk:
-                self.through[x] |= 1 << i
-        # guard[p][i] is the bit of i's next lower twin: at p, i may join a
-        # class only once that twin has
-        self.guard: list[dict[int, int]] = [{} for _ in range(design.point_count)]
-        groups: dict[tuple, list[int]] = {}
-        for i, blk in enumerate(design.blocks):
-            groups.setdefault(blk, []).append(i)
-        for content, members in groups.items():
-            for prev, i in zip(members, members[1:]):
-                for p in content if rule_all_groups else content[:1]:
-                    self.guard[p][i] = 1 << prev
+    def emit() -> None:
+        rows: list[list[frozenset[int]]] = [[] for _ in range(v)]
+        for p, cls in closed:
+            rows[p].append(frozenset(_bits(cls)))
+        system = LocalResolutionSystem(rows)
+        verify_lrs(design, system)
+        witness = verify_non_triangular(design, system)
+        if witness is not None:  # the co-class test should rule this out
+            raise RuntimeError(f"search emitted a triangular system: {witness}")
+        systems.append(system)
+        if limit is not None and len(systems) >= limit:
+            raise _Stop(False)
 
-    def run(self, first: int, last: int, emit) -> None:
-        """Partition the instances through each of the points first..last-1 in
-        turn; emit(closed) fires once per full choice.
+    def link(cls):
+        # toggle co-class bits among the members of cls: none is set
+        # before the class closes, so this both sets and clears them
+        rest = cls
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            nbr[low.bit_length() - 1] ^= cls ^ low
 
-        closed lists (point, class mask) in the order the classes closed, so
-        the classes of each point are contiguous and points ascend.
-        """
-        tick = self.meter.tick
-        masks, full, through, guard = self.masks, self.full, self.through, self.guard
-        nbr = [0] * len(masks)
-        closed: list[tuple[int, int]] = []
-
-        def link(cls):
-            # toggle co-class bits among the members of cls: none is set
-            # before the class closes, so this both sets and clears them
-            rest = cls
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                nbr[low.bit_length() - 1] ^= cls ^ low
-
-        def descend(p, members, covered, reach, unused):
-            # Take the forced steps from a class at p until the next choice.
-            # A class whose covered mask is full is complete: record it, then
-            # start the next class at p or, with no instance left, move to the
-            # next point.  The lowest unused instance leads a new class with no
-            # test: it has no class-mates yet, and a waiting twin would be
-            # lower still.  Return the choice frame [p, members, covered,
-            # reach, unused, untried, len(closed)], or None after a dead end
-            # or an emitted solution.
-            while covered == full:
-                if members:
-                    closed.append((p, members))
-                    link(members)
-                tick()
-                while not unused:
-                    p += 1
-                    if p == last:
-                        emit(closed)
-                        return None
-                    unused = through[p]
-                    tick()
-                members = unused & -unused
-                leader = members.bit_length() - 1
-                covered = masks[leader]
-                reach = nbr[leader]
-                unused ^= members
+    def descend(p, members, covered, reach, unused):
+        # Take the forced steps from a class at p until the next choice.
+        # A class whose covered mask is full is complete: record it, then
+        # start the next class at p or, with no instance left, move to the
+        # next point.  The lowest unused instance leads a new class with no
+        # test: it has no class-mates yet, and a waiting twin would be
+        # lower still.  Return the choice frame [p, members, covered,
+        # reach, unused, untried, len(closed)], or None after a dead end
+        # or an emitted solution.
+        while covered == full:
+            if members:
+                closed.append((p, members))
+                link(members)
             tick()
-            pbit = 1 << p
-            held = guard[p]
-            target = full ^ covered
-            cands = unused & through[(target & -target).bit_length() - 1]
-            untried = 0
-            while cands:
-                low = cands & -cands
-                cands ^= low
-                i = low.bit_length() - 1
-                if (masks[i] & covered) != pbit:
-                    continue  # meets the class outside p
-                if held.get(i, 0) & unused:
-                    continue  # its lower twin is still unused at p
-                if nbr[i] & reach:
-                    continue  # would close a triangle with two labels
-                untried |= low
-            if not untried:
-                return None
-            return [p, members, covered, reach, unused, untried, len(closed)]
+            while not unused:
+                p += 1
+                if p == v:
+                    emit()
+                    return None
+                unused = through[p]
+                tick()
+            members = unused & -unused
+            leader = members.bit_length() - 1
+            covered = masks[leader]
+            reach = nbr[leader]
+            unused ^= members
+        tick()
+        pbit = 1 << p
+        held = guard[p]
+        target = full ^ covered
+        cands = unused & through[(target & -target).bit_length() - 1]
+        untried = 0
+        while cands:
+            low = cands & -cands
+            cands ^= low
+            i = low.bit_length() - 1
+            if (masks[i] & covered) != pbit:
+                continue  # meets the class outside p
+            if held.get(i, 0) & unused:
+                continue  # its lower twin is still unused at p
+            if nbr[i] & reach:
+                continue  # would close a triangle with two labels
+            untried |= low
+        if not untried:
+            return None
+        return [p, members, covered, reach, unused, untried, len(closed)]
 
-        # an empty complete class at first starts the search at that point
-        frame = descend(first, 0, full, 0, through[first])
+    exhausted = True
+    budget_hit = False
+    try:
+        # an empty complete class at point 0 starts the search there
+        frame = descend(0, 0, full, 0, through[0])
         stack = [frame] if frame else []
         while stack:
             frame = stack[-1]
@@ -338,77 +353,6 @@ class _ResolutionSearch:
                             unused ^ low)
             if frame:
                 stack.append(frame)
-
-
-def find_local_resolutions(design: Design, point: int,
-                           limit: Optional[int] = None,
-                           budget: Optional[Budget] = None) -> SearchResult:
-    """All partitions of the instances through one point into parallel classes.
-
-    The design must pass verify_bibd.  Each solution is a tuple of frozensets
-    of instance indices; partitions differing only by swapping instances of a
-    repeated block are reported once.
-    """
-    params = verify_bibd(design)
-    if not 0 <= point < design.point_count:
-        raise ValueError(f"point {point} out of range")
-    if limit is not None and limit < 1:
-        raise ValueError("limit must be positive")
-    meter = _Meter(budget)
-    solutions: list[tuple[frozenset[int], ...]] = []
-
-    def emit(closed: list[tuple[int, int]]) -> None:
-        solutions.append(tuple(frozenset(_bits(cls)) for _, cls in closed))
-        if limit is not None and len(solutions) >= limit:
-            raise _Stop(False)
-
-    exhausted = True
-    budget_hit = False
-    if (design.point_count - 1) % (params.k - 1) == 0:
-        engine = _ResolutionSearch(design, meter, rule_all_groups=True)
-        try:
-            engine.run(point, point + 1, emit)
-        except _Stop as stop:
-            exhausted = False
-            budget_hit = stop.budget_hit
-    return SearchResult(solutions, exhausted, meter.nodes, budget_hit)
-
-
-def find_ntlrs(design: Design, limit: Optional[int] = None,
-               budget: Optional[Budget] = None) -> SearchResult:
-    """Non-triangular local resolution systems of a verified BIBD.
-
-    Builds one point at a time in ascending point order, admitting an
-    instance to a class only if no instance is already co-class with both it
-    and a member, so every emitted system is non-triangular by construction
-    (and re-verified before it is returned).
-    """
-    params = verify_bibd(design)
-    if limit is not None and limit < 1:
-        raise ValueError("limit must be positive")
-    meter = _Meter(budget)
-    if (design.point_count - 1) % (params.k - 1):
-        return SearchResult([], True, 0)
-    engine = _ResolutionSearch(design, meter, rule_all_groups=False)
-    systems: list[LocalResolutionSystem] = []
-
-    def emit(closed: list[tuple[int, int]]) -> None:
-        rows: list[list[frozenset[int]]] = [[] for _ in range(design.point_count)]
-        for p, cls in closed:
-            rows[p].append(frozenset(_bits(cls)))
-        system = LocalResolutionSystem(rows)
-        verify_lrs(design, system)
-        witness = verify_non_triangular(design, system)
-        if witness is not None:  # the co-class test should rule this out
-            raise RuntimeError(f"search emitted a triangular system: {witness}")
-        systems.append(system)
-        if limit is not None and len(systems) >= limit:
-            raise _Stop(False)
-
-    exhausted = True
-    budget_hit = False
-    try:
-        engine.run(0, design.point_count, emit)
     except _Stop as stop:
         exhausted = False
         budget_hit = stop.budget_hit

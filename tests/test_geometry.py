@@ -168,6 +168,9 @@ def test_payne_and_regularity_reject_points_out_of_range():
         for fn in (payne_derivation, is_regular_point, perp):
             with pytest.raises(ValueError, match=f"point {x} out of range"):
                 fn(s, x)
+        for fn in (trace_pair, span_pair, is_regular_pair):
+            with pytest.raises(ValueError, match=f"point {x} out of range"):
+                fn(s, x, 0)
 
 
 def test_payne_rejects_unequal_orders(gq42):

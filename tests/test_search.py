@@ -12,7 +12,6 @@ from gqdesigns.search import (
     Budget,
     ExactCoverInstance,
     SearchResult,
-    find_local_resolutions,
     find_ntlrs,
     find_ovoids,
     solve_exact_cover,
@@ -278,14 +277,6 @@ def test_ovoid_search_rejects_non_gq():
 # Resolution search
 # ---------------------------------------------------------
 
-def test_single_point_resolutions_of_the_q4_design(sprott4):
-    d, system = sprott4
-    res = find_local_resolutions(d, 0)
-    assert res.exhausted
-    assert len(res.solutions) == 1
-    assert set(res.solutions[0]) == set(system.classes[0])
-
-
 def test_fano_has_no_ntlrs():
     res = find_ntlrs(fano_design())
     assert res.exhausted
@@ -387,8 +378,6 @@ def _h34_design():
 def _solution_key(sol):
     if hasattr(sol, "classes"):  # a LocalResolutionSystem
         return tuple(tuple(tuple(sorted(c)) for c in row) for row in sol.classes)
-    if isinstance(sol, tuple):  # the classes at one point, in the order found
-        return tuple(tuple(sorted(c)) for c in sol)
     return tuple(sorted(sol))  # an ovoid
 
 
@@ -465,34 +454,6 @@ FROZEN_TRACES = {
     "ntlrs 3xAG(2,3) seed 6": (
         lambda: find_ntlrs(_tripled(6)),
         (11035, True, False, 144, "158a2d70d2d7b85d79379c2d59db55dc00b4be61dfcc63657e46c8cb8e2602d3")),
-    "local 3xAG(2,3) at 0": (
-        lambda: find_local_resolutions(replicate(affine_plane(3), 3), 0),
-        (13, True, False, 1, "842d58d754c756b0e28e5ef87d0398bfaaeba7db8bebbcaa975688a7a9f7be70")),
-    "local 3xAG(2,3) seed 4 at 5": (
-        lambda: find_local_resolutions(_tripled(4), 5),
-        (13, True, False, 1, "1827cebf70c5a48164f48dcf40c555c5c6a920fa46fe42c8e45c9032e2464c4e")),
-    "local 4xAG(2,4) at 6": (
-        lambda: find_local_resolutions(replicate(affine_plane(4), 4), 6, limit=50),
-        (21, True, False, 1, "75bd20e65f8ea4e44498b596fd32dddc781e85fb7face45b07c3891f07f4bfe1")),
-    "local GF(16) lambda 6 at 3": (
-        lambda: find_local_resolutions(sprott_design(2, 4, 6)[1], 3),
-        (19, True, False, 1, "1664bcfc624b7129c9bbe42666fcf2a8883b831303f89b182d918cbbefec9342")),
-    "local sprott q=4 at 7": (
-        lambda: find_local_resolutions(sprott_lrs(4)[0], 7),
-        (19, True, False, 1, "edcd27c877cf2ed7abd8568674a785998d91173943ff97bcb0bbbd1f6c5b9e1c")),
-    "local 5xAG(2,5) at 0": (
-        lambda: find_local_resolutions(replicate(affine_plane(5), 5), 0,
-                                       budget=Budget(max_nodes=5000)),
-        (31, True, False, 1, "be4d0dd3e86b2240f38a147536eb5f0a6c531665ce00272ce465cfa79968bd11")),
-    "local H(3,4) last ovoid at 0": (
-        lambda: find_local_resolutions(_h34_design(), 0),
-        (27, True, False, 2, "56158393983925c987e4250d78e1f8c5ba1b327dd4aa8229960d741835ce4303")),
-    "local H(3,4) last ovoid at 3": (
-        lambda: find_local_resolutions(_h34_design(), 3),
-        (67, True, False, 6, "50404b33bd60e70444e31889f28dc88be3e55ede0a84ba637ef31d0982a90282")),
-    "local H(3,4) last ovoid at 8": (
-        lambda: find_local_resolutions(_h34_design(), 8, limit=2),
-        (28, False, False, 2, "275372974533d4a3faa5d12eac197ec9cf836e86c4d3f0d570a721fece072e5f")),
 }
 
 

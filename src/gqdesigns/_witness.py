@@ -1,0 +1,82 @@
+"""Scans that name the first witness of a failed verifier.
+
+structures decides each check by counting on bitmasks.  When a count fails,
+it imports this module and runs the scan here, which reports the same
+witness the verifier has always reported, in the same order.  A valid
+object never loads this module.  When a scan finds nothing the count said it
+would, it raises RuntimeError: by the counting arguments in the structures
+docstring that cannot happen.
+"""
+
+from __future__ import annotations
+
+from itertools import combinations
+from typing import Optional
+
+from .structures import (Design, GQAxiomError, IncidenceStructure,
+                         LocalResolutionSystem, LrsError, TriangleWitness)
+
+
+def repeated_pair_scan(s: IncidenceStructure) -> None:
+    """Raise axiom 1 on the first point pair, in line order, on two lines."""
+    seen_pair: dict[tuple[int, int], int] = {}
+    for j, line in enumerate(s.lines):
+        for x, y in combinations(line, 2):
+            prev = seen_pair.setdefault((x, y), j)
+            if prev != j:
+                raise GQAxiomError(
+                    1, (x, y, prev, j), f"points {x} and {y} lie on two common lines ({prev}, {j})")
+    raise RuntimeError("neighbour counts found a point pair on two lines; the scan found none")
+
+
+def axiom3_scan(s: IncidenceStructure) -> None:
+    """Raise axiom 3 on the first point, then line, that it fails at."""
+    nbr = s.neighbor_masks
+    masks = s.line_masks
+    for x in range(s.point_count):
+        reach = nbr[x] | (1 << x)
+        for j, m in enumerate(masks):
+            if m & (1 << x):
+                continue
+            hits = (m & reach).bit_count()
+            if hits != 1:
+                raise GQAxiomError(
+                    3, (x, j, hits),
+                    f"point {x} sees {hits} points of line {j}, expected exactly 1")
+    raise RuntimeError("counting found axiom 3 broken; the point-line scan found no witness")
+
+
+def triangle_scan(d: Design, system: LocalResolutionSystem) -> Optional[TriangleWitness]:
+    """The first co-class overlap (raised) or triangle (returned), or None.
+
+    Overlaps come in point, class and sorted pair order; triangles (b1, b2,
+    b3) ascend in b1 and then follow the order in which b1's co-class
+    partners were first met.
+    """
+    blocksets = [frozenset(b) for b in d.blocks]
+    partner: list[dict[int, int]] = [dict() for _ in range(len(blocksets))]
+    for p in range(d.point_count):
+        for cls in system.classes[p]:
+            for bi, bj in combinations(sorted(cls), 2):
+                inter = blocksets[bi] & blocksets[bj]
+                if inter != {p}:
+                    raise LrsError(p, (bi, bj, tuple(sorted(inter))),
+                                   f"co-class instances {bi},{bj} at point {p} "
+                                   f"share {sorted(inter)}")
+                partner[bi][bj] = p
+                partner[bj][bi] = p
+    for b1 in range(len(blocksets)):
+        adj1 = partner[b1]
+        for b2, p12 in adj1.items():
+            if b2 <= b1:
+                continue
+            adj2 = partner[b2]
+            for b3, p13 in adj1.items():
+                if b3 <= b2:
+                    continue
+                p23 = adj2.get(b3)
+                if p23 is None:
+                    continue
+                if not (p12 == p13 == p23):
+                    return TriangleWitness((b1, b2, b3), (p23, p13, p12))
+    return None

@@ -244,10 +244,7 @@ def find_ntlrs(design: Design, limit: Optional[int] = None,
     tick = meter.tick
     masks = design.line_masks
     full = (1 << v) - 1
-    through = [0] * v
-    for i, blk in enumerate(design.blocks):
-        for x in blk:
-            through[x] |= 1 << i
+    through = design.point_masks
     # guard[p][i] is the bit of i's next lower twin: at p, i may join a
     # class only once that twin has
     guard: list[dict[int, int]] = [{} for _ in range(v)]

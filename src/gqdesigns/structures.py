@@ -3,6 +3,18 @@
 Verifiers either return the computed parameters or raise a subclass of
 VerificationError carrying a concrete witness; they never return a bare
 pass/fail without evidence.  Point and line indices are 0-based everywhere.
+
+The verifiers decide on bitmasks.  verify_gq counts: a triangle-free partial
+linear space of order (s,t) has at least (s+1)(st+1) points, with equality
+exactly when it is a GQ (Payne & Thas, Finite Generalized Quadrangles, 1.2).
+So axiom 3 holds exactly when there are (s+1)(st+1) points and each collinear
+pair has s - 1 common neighbours, none off its line L: the masks nbr[x] & ~L,
+x on L, are pairwise disjoint.  verify_non_triangular keeps co[b], the
+instances co-class with b.  Co-class instances share one point, so a
+triangle's three points are all equal or all distinct, and an LRS is
+non-triangular exactly when the masks co[b] & ~M, b in M, are pairwise
+disjoint for every class M.  Only when a test fails does a verifier load
+_witness, whose scans name the witness in the order always reported.
 """
 
 from __future__ import annotations
@@ -74,7 +86,11 @@ def _normalize_lines(point_count: int, lines: Iterable[Iterable[int]],
                      kind: str) -> tuple[tuple[int, ...], ...]:
     out = []
     for idx, raw in enumerate(lines):
-        pts = tuple(sorted(raw))
+        pts = tuple(raw)
+        for p in pts:
+            if not isinstance(p, int):
+                raise ValueError(f"{kind} {idx} has point {p!r}, not an int")
+        pts = tuple(sorted(pts))
         if not pts:
             raise ValueError(f"{kind} {idx} is empty")
         if pts[0] < 0 or pts[-1] >= point_count:
@@ -120,6 +136,16 @@ class IncidenceStructure:
             for p in line:
                 m |= 1 << p
             masks.append(m)
+        return tuple(masks)
+
+    @cached_property
+    def point_masks(self) -> tuple[int, ...]:
+        """Per point, bitmask of the lines (block instances) through it."""
+        masks = [0] * self.point_count
+        for j, line in enumerate(self.lines):
+            bit = 1 << j
+            for p in line:
+                masks[p] |= bit
         return tuple(masks)
 
     @cached_property
@@ -174,10 +200,14 @@ class LocalResolutionSystem:
     def __init__(self, classes_by_point: Sequence[Sequence[Iterable[int]]]):
         rows = []
         for p, classes in enumerate(classes_by_point):
-            row = sorted((frozenset(c) for c in classes), key=min)
-            for c in row:
+            row = [frozenset(c) for c in classes]
+            for ci, c in enumerate(row):
                 if not c:
                     raise ValueError(f"point {p} has an empty class")
+                for idx in c:
+                    if not isinstance(idx, int):
+                        raise ValueError(f"point {p}, class {ci} has instance {idx!r}, not an int")
+            row.sort(key=min)
             rows.append(tuple(row))
         self.classes = tuple(rows)
         self.point_count = len(rows)
@@ -190,6 +220,15 @@ class LocalResolutionSystem:
 
     def __repr__(self):
         return f"LocalResolutionSystem({self.point_count} points)"
+
+
+def _disjoint(masks: Iterable[int]) -> bool:
+    seen = 0
+    for m in masks:
+        if seen & m:
+            return False
+        seen |= m
+    return True
 
 
 def verify_gq(s: IncidenceStructure) -> GQParams:
@@ -210,19 +249,16 @@ def verify_gq(s: IncidenceStructure) -> GQParams:
     if order_t < 1:
         raise GQAxiomError(1, (order_t + 1,), "points must lie on at least two lines")
 
-    seen_pair: dict[tuple[int, int], int] = {}
-    for j, line in enumerate(s.lines):
-        for ai in range(len(line)):
-            for bi in range(ai + 1, len(line)):
-                pair = (line[ai], line[bi])
-                prev = seen_pair.get(pair)
-                if prev is not None:
-                    raise GQAxiomError(
-                        1, (pair[0], pair[1], prev, j),
-                        f"points {pair[0]} and {pair[1]} lie on two common lines ({prev}, {j})")
-                seen_pair[pair] = j
+    # x shares at most one line with each other point exactly when the lines
+    # through x, less x, are disjoint
+    nbr = s.neighbor_masks
+    lines = s.lines
+    for x, through in enumerate(s.lines_through):
+        if nbr[x].bit_count() != sum(len(lines[j]) for j in through) - len(through):
+            from ._witness import repeated_pair_scan
+            repeated_pair_scan(s)
 
-    sizes = {len(line) for line in s.lines}
+    sizes = {len(line) for line in lines}
     if len(sizes) != 1:
         a = min(sizes)
         b = max(sizes)
@@ -231,20 +267,12 @@ def verify_gq(s: IncidenceStructure) -> GQParams:
     if order_s < 1:
         raise GQAxiomError(2, (order_s + 1,), "lines must carry at least two points")
     # two lines sharing two points would repeat a point pair, so the line-pair
-    # half of the axiom is already covered by the scan above
+    # half of the axiom is already covered by the test above
 
-    nbr = s.neighbor_masks
-    masks = s.line_masks
-    for x in range(s.point_count):
-        reach = nbr[x] | (1 << x)
-        for j, m in enumerate(masks):
-            if m & (1 << x):
-                continue
-            hits = (m & reach).bit_count()
-            if hits != 1:
-                raise GQAxiomError(
-                    3, (x, j, hits),
-                    f"point {x} sees {hits} points of line {j}, expected exactly 1")
+    if s.point_count != (order_s + 1) * (order_s * order_t + 1) or not all(
+            _disjoint(nbr[x] & ~m for x in line) for line, m in zip(lines, s.line_masks)):
+        from ._witness import axiom3_scan
+        axiom3_scan(s)
 
     params = GQParams(order_s, order_t)
     s._gq_params = params
@@ -268,24 +296,20 @@ def verify_bibd(d: Design, allow_degenerate: bool = False) -> DesignParams:
     if k < 2:
         raise BibdError((k,), "blocks of size 1 cannot balance point pairs")
 
-    counts: dict[tuple[int, int], int] = {}
-    for blk in d.blocks:
-        for ai in range(len(blk)):
-            for bi in range(ai + 1, len(blk)):
-                pair = (blk[ai], blk[bi])
-                counts[pair] = counts.get(pair, 0) + 1
-    lam = counts.get((0, 1), 0)
+    through = d.point_masks
+    lam = (through[0] & through[1]).bit_count()
     for x in range(v):
+        tx = through[x]
         for y in range(x + 1, v):
-            c = counts.get((x, y), 0)
+            c = (tx & through[y]).bit_count()
             if c != lam:
                 raise BibdError(
                     (x, y, c, 0, 1, lam),
                     f"pair ({x},{y}) lies in {c} blocks but pair (0,1) lies in {lam}")
 
-    r = len(d.lines_through[0])
+    r = through[0].bit_count()
     # uniform pair counts force uniform replication; check the arithmetic anyway
-    if any(len(t) != r for t in d.lines_through) \
+    if any(t.bit_count() != r for t in through) \
             or v * r != b * k or r * (k - 1) != lam * (v - 1):
         raise RuntimeError(f"balanced design breaks v*r = b*k or r*(k-1) = lambda*(v-1)"
                            f" at v={v}, b={b}, r={r}, k={k}, lambda={lam}")
@@ -305,6 +329,8 @@ def verify_ovoid(s: IncidenceStructure, ovoid: Iterable[int]) -> None:
     params = verify_gq(s)
     pts = frozenset(ovoid)
     for p in pts:
+        if not isinstance(p, int):
+            raise OvoidError((p,), f"ovoid point {p!r} is not an int")
         if not 0 <= p < s.point_count:
             raise OvoidError((p,), f"ovoid point {p} out of range")
     mask = 0
@@ -319,44 +345,52 @@ def verify_ovoid(s: IncidenceStructure, ovoid: Iterable[int]) -> None:
                            f"but a GQ of order {tuple(params)} needs {1 + params.s * params.t}")
 
 
+def _check_point_count(d: Design, system: LocalResolutionSystem) -> None:
+    if system.point_count != d.point_count:
+        raise LrsError(-1, (system.point_count, d.point_count),
+                       f"system covers {system.point_count} points, design has {d.point_count}")
+
+
+def _out_of_range(p: int, ci: int, idx: int) -> LrsError:
+    return LrsError(p, (ci, idx), f"point {p}: instance {idx} out of range")
+
+
 def verify_lrs(d: Design, system: LocalResolutionSystem) -> None:
     """Check a local resolution system against its design.
 
     At every point p the classes must partition the block instances through p,
     and each class, with p removed, must partition the remaining points.
     """
-    if system.point_count != d.point_count:
-        raise LrsError(-1, (system.point_count, d.point_count),
-                       f"system covers {system.point_count} points, design has {d.point_count}")
-    blocks = d.blocks
-    for p in range(d.point_count):
-        through = set(d.lines_through[p])
-        assigned: set[int] = set()
+    _check_point_count(d, system)
+    b = len(d.blocks)
+    masks = d.line_masks
+    full = (1 << d.point_count) - 1
+    for p, through in enumerate(d.point_masks):
+        rest = full ^ (1 << p)
+        assigned = 0
         for ci, cls in enumerate(system.classes[p]):
+            union = twice = 0
             for idx in cls:
-                if not 0 <= idx < len(blocks):
-                    raise LrsError(p, (ci, idx), f"point {p}: instance {idx} out of range")
-                if p not in blocks[idx]:
+                if not 0 <= idx < b:
+                    raise _out_of_range(p, ci, idx)
+                bit = 1 << idx
+                if not through & bit:
                     raise LrsError(p, (ci, idx),
                                    f"point {p}: instance {idx} does not contain the point")
-                if idx in assigned:
+                if assigned & bit:
                     raise LrsError(p, (ci, idx),
                                    f"point {p}: instance {idx} appears in two classes")
-                assigned.add(idx)
-            covered: dict[int, int] = {}
-            for idx in cls:
-                for x in blocks[idx]:
-                    if x != p:
-                        covered[x] = covered.get(x, 0) + 1
-            for x in range(d.point_count):
-                if x == p:
-                    continue
-                c = covered.get(x, 0)
-                if c != 1:
-                    raise LrsError(p, (ci, x, c),
-                                   f"point {p}, class {ci}: point {x} covered {c} times")
+                assigned |= bit
+                twice |= union & masks[idx]
+                union |= masks[idx]
+            bad = rest & (twice | ~union)
+            if bad:
+                x = (bad & -bad).bit_length() - 1
+                c = sum(masks[idx] >> x & 1 for idx in cls)
+                raise LrsError(p, (ci, x, c),
+                               f"point {p}, class {ci}: point {x} covered {c} times")
         if assigned != through:
-            missing = min(through - assigned)
+            missing = ((through ^ assigned) & -(through ^ assigned)).bit_length() - 1
             raise LrsError(p, (missing,),
                            f"point {p}: instance {missing} through the point is unassigned")
 
@@ -364,42 +398,37 @@ def verify_lrs(d: Design, system: LocalResolutionSystem) -> None:
 def verify_non_triangular(d: Design, system: LocalResolutionSystem) -> Optional[TriangleWitness]:
     """Search for a triangle of pairwise co-class instances about three distinct points.
 
-    Expects a system that already passes verify_lrs.  Returns None when every
-    such triangle closes about a single point (the non-triangular condition),
-    otherwise the first offending witness.  Two instances in a common class
-    must share exactly that class point; any other overlap is reported as a
-    system error.
+    Expects a system that already passes verify_lrs; a system of the wrong
+    point count or naming an instance out of range raises the LrsError that
+    verify_lrs gives.  Returns None when every such triangle closes about a
+    single point (the non-triangular condition), otherwise the first
+    offending witness.  Two instances in a common class must share exactly
+    that class point; any other overlap is reported as a system error.
     """
-    blocksets = [frozenset(b) for b in d.blocks]
-    partner: list[dict[int, int]] = [dict() for _ in range(len(blocksets))]
+    _check_point_count(d, system)
+    b = len(d.blocks)
+    masks = d.line_masks
+    co = [0] * b
+    members: list[tuple[frozenset[int], int]] = []
+    clean = True
     for p in range(d.point_count):
-        for cls in system.classes[p]:
-            members = sorted(cls)
-            for i in range(len(members)):
-                for j in range(i + 1, len(members)):
-                    bi, bj = members[i], members[j]
-                    inter = blocksets[bi] & blocksets[bj]
-                    if inter != {p}:
-                        raise LrsError(p, (bi, bj, tuple(sorted(inter))),
-                                       f"co-class instances {bi},{bj} at point {p} "
-                                       f"share {sorted(inter)}")
-                    partner[bi][bj] = p
-                    partner[bj][bi] = p
-    for b1 in range(len(blocksets)):
-        adj1 = partner[b1]
-        for b2, p12 in adj1.items():
-            if b2 <= b1:
-                continue
-            adj2 = partner[b2]
-            for b3, p13 in adj1.items():
-                if b3 <= b2:
-                    continue
-                p23 = adj2.get(b3)
-                if p23 is None:
-                    continue
-                if not (p12 == p13 == p23):
-                    return TriangleWitness((b1, b2, b3), (p23, p13, p12))
-    return None
+        pbit = 1 << p
+        for ci, cls in enumerate(system.classes[p]):
+            union = cmask = 0
+            for idx in cls:
+                if not 0 <= idx < b:
+                    raise _out_of_range(p, ci, idx)
+                if union and masks[idx] & union != pbit:
+                    clean = False
+                union |= masks[idx]
+                cmask |= 1 << idx
+            for idx in cls:
+                co[idx] |= cmask
+            members.append((cls, cmask))
+    if clean and all(_disjoint(co[idx] & ~cmask for idx in cls) for cls, cmask in members):
+        return None
+    from ._witness import triangle_scan
+    return triangle_scan(d, system)
 
 
 def dual(s: IncidenceStructure) -> IncidenceStructure:

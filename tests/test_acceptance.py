@@ -129,6 +129,21 @@ def test_large_classical_quadrangles_build_fast():
     print(f"Q(4,9) built and verified ({dt:.2f}s), H(3,9) ({dh:.2f}s)")
 
 
+def test_verifiers_decide_by_counting_fast():
+    s = parabolic_gq(9)
+    fresh = IncidenceStructure(s.point_count, s.lines)
+    elapsed = clock()
+    assert verify_gq(fresh) == GQParams(9, 9)
+    dt = elapsed()
+    d, system = sprott_lrs(8)
+    elapsed = clock()
+    assert verify_non_triangular(d, system) is None
+    dn = elapsed()
+    assert dt < 0.05
+    assert dn < 0.02
+    print(f"Q(4,9) verified ({dt * 1000:.1f}ms), sprott_lrs(8) non-triangular ({dn * 1000:.1f}ms)")
+
+
 def test_regular_traces_on_hermitian_q3_are_fast():
     # 252 outside points: each tries only the points sharing its block
     s = hermitian_gq(3)

@@ -3,7 +3,11 @@ import random
 
 import pytest
 
-from gqdesigns.sprott import affine_plane, replicate, sprott_design
+from gqdesigns import _witness
+from gqdesigns.correspondence import design_from_ovoid
+from gqdesigns.geometry import hermitian_gq, parabolic_gq, symplectic_gq
+from gqdesigns.search import find_ovoids
+from gqdesigns.sprott import affine_plane, replicate, sprott_design, sprott_lrs
 from gqdesigns.structures import (
     BibdError,
     Design,
@@ -15,6 +19,7 @@ from gqdesigns.structures import (
     LocalResolutionSystem,
     LrsError,
     OvoidError,
+    TriangleWitness,
     dual,
     verify_bibd,
     verify_gq,
@@ -319,3 +324,360 @@ def test_random_class_swaps_break_verification(sprott4):
         broken[p] = [c for c in classes if c]
         with pytest.raises(LrsError):
             verify_lrs(d, LocalResolutionSystem(broken))
+
+
+# ---------------------------------------------------------
+# malformed input
+# ---------------------------------------------------------
+
+def test_points_and_instances_must_be_ints(w2):
+    with pytest.raises(ValueError, match="line 0"):
+        IncidenceStructure(3, [[0, 1.5], [1, 2]])
+    with pytest.raises(ValueError, match="block 1"):
+        Design(3, [[0, 1], [1, "2"]])
+    with pytest.raises(ValueError, match="point 1, class 0"):
+        LocalResolutionSystem([[[0]], [[0.5, 1]]])
+    with pytest.raises(OvoidError) as exc:
+        verify_ovoid(w2, [0.5])
+    assert exc.value.witness == (0.5,)
+
+
+def _rows(system):
+    return [list(map(set, classes)) for classes in system.classes]
+
+
+def test_non_triangular_rejects_what_verify_lrs_rejects(sprott4):
+    d, system = sprott4
+    rows = _rows(system)
+    short = LocalResolutionSystem(rows[:-1])
+    extra = LocalResolutionSystem(rows + [rows[0]])
+    stray = LocalResolutionSystem(rows[:3] + [rows[3] + [{999}]] + rows[4:])
+    negative = LocalResolutionSystem(rows[:2] + [rows[2] + [{-1}]] + rows[3:])
+    for bad, point, witness in [(short, -1, (15, 16)), (extra, -1, (17, 16)),
+                                (stray, 3, (len(rows[3]), 999)), (negative, 2, (0, -1))]:
+        with pytest.raises(LrsError) as want:
+            verify_lrs(d, bad)
+        with pytest.raises(LrsError) as got:
+            verify_non_triangular(d, bad)
+        assert (got.value.point, got.value.witness) == (point, witness)
+        assert (want.value.point, want.value.witness, str(want.value)) \
+            == (got.value.point, got.value.witness, str(got.value))
+
+
+# ---------------------------------------------------------
+# mask verifiers against the scans they replaced
+# ---------------------------------------------------------
+
+def _reference_verify_gq(s):
+    degrees = {len(t) for t in s.lines_through}
+    if len(degrees) != 1:
+        a = min(degrees)
+        b = max(degrees)
+        raise GQAxiomError(1, (a, b), f"point degrees are not uniform: found {a} and {b}")
+    order_t = degrees.pop() - 1
+    if order_t < 1:
+        raise GQAxiomError(1, (order_t + 1,), "points must lie on at least two lines")
+
+    seen_pair = {}
+    for j, line in enumerate(s.lines):
+        for ai in range(len(line)):
+            for bi in range(ai + 1, len(line)):
+                pair = (line[ai], line[bi])
+                prev = seen_pair.get(pair)
+                if prev is not None:
+                    raise GQAxiomError(
+                        1, (pair[0], pair[1], prev, j),
+                        f"points {pair[0]} and {pair[1]} lie on two common lines ({prev}, {j})")
+                seen_pair[pair] = j
+
+    sizes = {len(line) for line in s.lines}
+    if len(sizes) != 1:
+        a = min(sizes)
+        b = max(sizes)
+        raise GQAxiomError(2, (a, b), f"line sizes are not uniform: found {a} and {b}")
+    order_s = sizes.pop() - 1
+    if order_s < 1:
+        raise GQAxiomError(2, (order_s + 1,), "lines must carry at least two points")
+
+    nbr = s.neighbor_masks
+    masks = s.line_masks
+    for x in range(s.point_count):
+        reach = nbr[x] | (1 << x)
+        for j, m in enumerate(masks):
+            if m & (1 << x):
+                continue
+            hits = (m & reach).bit_count()
+            if hits != 1:
+                raise GQAxiomError(
+                    3, (x, j, hits),
+                    f"point {x} sees {hits} points of line {j}, expected exactly 1")
+    return GQParams(order_s, order_t)
+
+
+def _reference_verify_bibd(d, allow_degenerate=False):
+    v = d.point_count
+    b = len(d.blocks)
+    if b == 0:
+        raise BibdError((), "design has no blocks")
+    if v < 2:
+        raise BibdError((), "design needs at least two points")
+    k = len(d.blocks[0])
+    if k < 2:
+        raise BibdError((k,), "blocks of size 1 cannot balance point pairs")
+
+    counts = {}
+    for blk in d.blocks:
+        for ai in range(len(blk)):
+            for bi in range(ai + 1, len(blk)):
+                pair = (blk[ai], blk[bi])
+                counts[pair] = counts.get(pair, 0) + 1
+    lam = counts.get((0, 1), 0)
+    for x in range(v):
+        for y in range(x + 1, v):
+            c = counts.get((x, y), 0)
+            if c != lam:
+                raise BibdError(
+                    (x, y, c, 0, 1, lam),
+                    f"pair ({x},{y}) lies in {c} blocks but pair (0,1) lies in {lam}")
+
+    r = len(d.lines_through[0])
+    params = DesignParams(v, b, r, k, lam)
+    if (k <= 2 or k >= v) and not allow_degenerate:
+        raise DegenerateDesignError(
+            params, f"uniform design is degenerate: v={v}, k={k}")
+    return params
+
+
+def _reference_verify_lrs(d, system):
+    if system.point_count != d.point_count:
+        raise LrsError(-1, (system.point_count, d.point_count),
+                       f"system covers {system.point_count} points, design has {d.point_count}")
+    blocks = d.blocks
+    for p in range(d.point_count):
+        through = set(d.lines_through[p])
+        assigned = set()
+        for ci, cls in enumerate(system.classes[p]):
+            for idx in cls:
+                if not 0 <= idx < len(blocks):
+                    raise LrsError(p, (ci, idx), f"point {p}: instance {idx} out of range")
+                if p not in blocks[idx]:
+                    raise LrsError(p, (ci, idx),
+                                   f"point {p}: instance {idx} does not contain the point")
+                if idx in assigned:
+                    raise LrsError(p, (ci, idx),
+                                   f"point {p}: instance {idx} appears in two classes")
+                assigned.add(idx)
+            covered = {}
+            for idx in cls:
+                for x in blocks[idx]:
+                    if x != p:
+                        covered[x] = covered.get(x, 0) + 1
+            for x in range(d.point_count):
+                if x == p:
+                    continue
+                c = covered.get(x, 0)
+                if c != 1:
+                    raise LrsError(p, (ci, x, c),
+                                   f"point {p}, class {ci}: point {x} covered {c} times")
+        if assigned != through:
+            missing = min(through - assigned)
+            raise LrsError(p, (missing,),
+                           f"point {p}: instance {missing} through the point is unassigned")
+
+
+def _reference_verify_non_triangular(d, system):
+    blocksets = [frozenset(b) for b in d.blocks]
+    partner = [dict() for _ in range(len(blocksets))]
+    for p in range(d.point_count):
+        for cls in system.classes[p]:
+            members = sorted(cls)
+            for i in range(len(members)):
+                for j in range(i + 1, len(members)):
+                    bi, bj = members[i], members[j]
+                    inter = blocksets[bi] & blocksets[bj]
+                    if inter != {p}:
+                        raise LrsError(p, (bi, bj, tuple(sorted(inter))),
+                                       f"co-class instances {bi},{bj} at point {p} "
+                                       f"share {sorted(inter)}")
+                    partner[bi][bj] = p
+                    partner[bj][bi] = p
+    for b1 in range(len(blocksets)):
+        adj1 = partner[b1]
+        for b2, p12 in adj1.items():
+            if b2 <= b1:
+                continue
+            adj2 = partner[b2]
+            for b3, p13 in adj1.items():
+                if b3 <= b2:
+                    continue
+                p23 = adj2.get(b3)
+                if p23 is None:
+                    continue
+                if not (p12 == p13 == p23):
+                    return TriangleWitness((b1, b2, b3), (p23, p13, p12))
+    return None
+
+
+def _outcome(f, *args):
+    """The value returned, or the exception's class, message and fields."""
+    try:
+        return f(*args)
+    except Exception as exc:
+        return type(exc), str(exc), vars(exc)
+
+
+def _fresh(s):
+    # a new object, so no cached mask or verdict carries over
+    return IncidenceStructure(s.point_count, s.lines)
+
+
+def _relabeled(s, rng):
+    perm = list(range(s.point_count))
+    rng.shuffle(perm)
+    lines = [[perm[p] for p in line] for line in s.lines]
+    rng.shuffle(lines)
+    return IncidenceStructure(s.point_count, lines)
+
+
+def _damaged_structures(s, rng):
+    """A point moved, two points swapped between lines, a line dropped or
+    doubled, and two disjoint copies side by side."""
+    lines = [list(line) for line in s.lines]
+    j1, j2 = rng.sample(range(len(lines)), 2)
+    p1 = rng.choice([p for p in lines[j1] if p not in lines[j2]])
+    p2 = rng.choice([p for p in lines[j2] if p not in lines[j1]])
+    moved = [list(line) for line in lines]
+    moved[j1].remove(p1)
+    moved[j2].append(p1)
+    swapped = [list(line) for line in lines]
+    swapped[j1][swapped[j1].index(p1)] = p2
+    swapped[j2][swapped[j2].index(p2)] = p1
+    j = rng.randrange(len(lines))
+    n = s.point_count
+    return [IncidenceStructure(n, moved), IncidenceStructure(n, swapped),
+            IncidenceStructure(n, lines[:j] + lines[j + 1:]),
+            IncidenceStructure(n, lines + [lines[j]]),
+            IncidenceStructure(2 * n, lines + [[p + n for p in line] for line in lines])]
+
+
+def _valid_gqs():
+    return [symplectic_gq(2), symplectic_gq(3), symplectic_gq(4), parabolic_gq(3),
+            parabolic_gq(4), hermitian_gq(2), hermitian_gq(3), dual(symplectic_gq(3))]
+
+
+def _non_triangular_systems():
+    """sprott_lrs(4) and (8), and the designs of the first two ovoids of
+    W(2), Q(4,3) and H(3,4)."""
+    out = [sprott_lrs(4), sprott_lrs(8)]
+    for s in [symplectic_gq(2), parabolic_gq(3), hermitian_gq(2)]:
+        for ovoid in find_ovoids(s, limit=2).solutions:
+            out.append(design_from_ovoid(s, ovoid))
+    return out
+
+
+def _relabeled_system(d, system, rng):
+    pts = list(range(d.point_count))
+    inst = list(range(len(d.blocks)))
+    rng.shuffle(pts)
+    rng.shuffle(inst)
+    blocks = [None] * len(inst)
+    for i, blk in enumerate(d.blocks):
+        blocks[inst[i]] = [pts[x] for x in blk]
+    rows = [None] * len(pts)
+    for p, classes in enumerate(system.classes):
+        rows[pts[p]] = [[inst[i] for i in cls] for cls in classes]
+    return Design(d.point_count, blocks), LocalResolutionSystem(rows)
+
+
+def _damaged_systems(d, system, rng):
+    """Two instances swapped between classes (any two, and two twins of one
+    content at up to three points), an instance put in a second class, two
+    classes merged, and a class dropped."""
+    out = []
+    rows = _rows(system)
+    points = [p for p in range(d.point_count) if len(rows[p]) >= 2]
+    p = rng.choice(points)
+    a, b = rng.sample(range(len(rows[p])), 2)
+    x = rng.choice(sorted(rows[p][a]))
+    y = rng.choice(sorted(rows[p][b]))
+    swapped = _rows(system)
+    swapped[p][a] = (swapped[p][a] - {x}) | {y}
+    swapped[p][b] = (swapped[p][b] - {y}) | {x}
+    doubled = _rows(system)
+    doubled[p][b] = doubled[p][b] | {x}
+    merged = _rows(system)
+    merged[p][a] = merged[p][a] | merged[p][b]
+    del merged[p][b]
+    dropped = _rows(system)
+    del dropped[p][a]
+    out += [swapped, doubled, merged, dropped]
+    # twins at a point in different classes: swapping them keeps an LRS
+    for q in rng.sample(range(d.point_count), d.point_count):
+        where = {i: ci for ci, cls in enumerate(rows[q]) for i in cls}
+        twins = [(i, j) for i in where for j in where
+                 if i < j and d.blocks[i] == d.blocks[j] and where[i] != where[j]]
+        if twins:
+            i, j = rng.choice(twins)
+            twin = _rows(system)
+            twin[q][where[i]] = (twin[q][where[i]] - {i}) | {j}
+            twin[q][where[j]] = (twin[q][where[j]] - {j}) | {i}
+            out.append(twin)
+            if len(out) == 7:
+                break
+    return [LocalResolutionSystem(r) for r in out]
+
+
+def test_gq_verifier_matches_the_scans():
+    rng = random.Random(11)
+    outcomes = set()
+    for s in _valid_gqs() + [fano_incidence(), grid_3x3()]:
+        for t in [s, _relabeled(s, rng), _relabeled(s, rng)]:
+            for u in [t] + _damaged_structures(t, rng) + _damaged_structures(t, rng):
+                got = _outcome(verify_gq, _fresh(u))
+                assert got == _outcome(_reference_verify_gq, _fresh(u))
+                outcomes.add(got[2]["axiom"] if len(got) == 3 else 0)
+    # some structures pass, and each axiom fails on some others
+    assert outcomes == {0, 1, 2, 3}
+
+
+def test_design_verifiers_match_the_scans():
+    rng = random.Random(12)
+    outcomes = set()
+    for d0, system0 in _non_triangular_systems() + [_copy_aligned_system(3)]:
+        for d, system in [(d0, system0), _relabeled_system(d0, system0, rng)]:
+            for sysm in [system] + _damaged_systems(d, system, rng):
+                got = _outcome(verify_lrs, d, sysm)
+                assert got == _outcome(_reference_verify_lrs, d, sysm)
+                nt = _outcome(verify_non_triangular, d, sysm)
+                assert nt == _outcome(_reference_verify_non_triangular, d, sysm)
+                outcomes.add((got is None, type(nt)))
+            blocks = [list(b) for b in d.blocks]
+            j = rng.randrange(len(blocks))
+            changed = [list(b) for b in blocks]
+            changed[j][0] = next(x for x in range(d.point_count) if x not in blocks[j])
+            for e in [d, Design(d.point_count, blocks[:j] + blocks[j + 1:]),
+                      Design(d.point_count, blocks + [blocks[j]]),
+                      Design(d.point_count, changed)]:
+                for allow in (False, True):
+                    assert _outcome(verify_bibd, e, allow) == _outcome(_reference_verify_bibd, e, allow)
+    # blocks 0 and 1 share two points in one class, yet no instance is
+    # co-class with both at another point
+    d = Design(4, [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]])
+    overlap = LocalResolutionSystem([[[0, 1]], [[0]], [[1]], [[2]]])
+    assert _outcome(verify_non_triangular, d, overlap) \
+        == _outcome(_reference_verify_non_triangular, d, overlap)
+    # the damage reached valid and broken systems, triangles and co-class errors
+    assert {(True, type(None)), (True, TriangleWitness), (False, tuple)} <= outcomes
+
+
+def test_fallback_scans_run_only_on_failure(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a fallback scan ran on a valid object")
+    for name in ["repeated_pair_scan", "axiom3_scan", "triangle_scan"]:
+        monkeypatch.setattr(_witness, name, refuse)
+    for s in _valid_gqs():
+        verify_gq(_fresh(s))
+    for d, system in _non_triangular_systems():
+        verify_bibd(d)
+        verify_lrs(d, system)
+        assert verify_non_triangular(d, system) is None

@@ -9,11 +9,21 @@ Exact cover (solve_exact_cover; find_ovoids covers lines with points) keeps
 three kinds of mask: by_elem[e], the candidates covering element e;
 conflict[i], every candidate sharing an element with candidate i, i itself
 included; and alive, the candidates disjoint from everything chosen so far.
-A node branches on the uncovered element e with the fewest live candidates,
-(by_elem[e] & alive).bit_count(), ties to the lowest e; an element with none
-ends the scan and the node at once.  Candidates are tried in ascending index
-order, and choosing i clears conflict[i] from alive.  nodes ticks once per
-node entered, the root and every complete cover included.
+It also keeps the live-candidate counts (by_elem[e] & alive).bit_count() of
+the uncovered elements as bit planes: bit e of planes[j] is bit j of e's
+count.  Choosing i kills the candidates of alive & conflict[i], and the child
+subtracts their masks, cut to the elements still uncovered, from a copy of
+the planes, the borrow rippling up from plane 0.  Taken in ascending index
+order, a mask joins the current batch if disjoint from it and otherwise
+starts the next, and each batch is subtracted as one mask.  In a GQ the
+killed points, all collinear with i, share only lines through i, so one
+batch takes them all.
+A node branches on the uncovered element with the fewest live candidates,
+ties to the lowest: starting from the uncovered elements, each plane from
+the top down narrows them to those with a 0 in it, where any have one, and
+the lowest element left wins.  If it has no live candidate, the node is a
+dead end.  Candidates are tried in ascending index order.  nodes ticks once
+per node entered, the root and every complete cover included.
 
 Resolution search (find_ntlrs) partitions the instances through each point
 p in turn, in ascending order, into parallel classes.  It keeps through[x],
@@ -48,6 +58,10 @@ from .structures import (Design, IncidenceStructure, LocalResolutionSystem,
                          verify_non_triangular, verify_ovoid)
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True)
 class Budget:
     """Limits on one search: nodes entered (an int >= 0) and wall-clock
@@ -59,9 +73,10 @@ class Budget:
 
     def __post_init__(self):
         nodes, seconds = self.max_nodes, self.max_seconds
-        if nodes is not None and not (isinstance(nodes, int) and nodes >= 0):
+        if nodes is not None and not (_is_int(nodes) and nodes >= 0):
             raise ValueError(f"max_nodes must be None or an int >= 0, got {nodes!r}")
         if seconds is not None and not (isinstance(seconds, (int, float))
+                                        and not isinstance(seconds, bool)
                                         and 0 <= seconds < math.inf):
             raise ValueError("max_seconds must be None or a finite number >= 0, "
                              f"got {seconds!r}")
@@ -129,17 +144,20 @@ def _bits(mask: int) -> list[int]:
     return out
 
 
+def _check_limit(limit: Optional[int]) -> None:
+    if limit is not None and not (_is_int(limit) and limit >= 1):
+        raise ValueError(f"limit must be None or an int >= 1, got {limit!r}")
+
+
 def solve_exact_cover(inst: ExactCoverInstance, limit: Optional[int] = None,
                       budget: Optional[Budget] = None) -> SearchResult:
     """Subsets of candidate indices covering 0..universe-1 exactly once each.
 
     Branches on the uncovered element with the fewest live candidates.
     """
-    if limit is not None and limit < 1:
-        raise ValueError("limit must be positive")
-    universe = inst.universe
+    _check_limit(limit)
     masks = []
-    by_elem = [0] * universe
+    by_elem = [0] * inst.universe
     for i, cand in enumerate(inst.candidates):
         m = 0
         for e in cand:
@@ -152,33 +170,38 @@ def solve_exact_cover(inst: ExactCoverInstance, limit: Optional[int] = None,
         for e in cand:
             clash |= by_elem[e]
         conflict.append(clash)
-    elements = [(1 << e, by_elem[e]) for e in range(universe)]
-    full = (1 << universe) - 1
+    return _exact_cover(inst.universe, masks, by_elem, conflict, limit, budget)
+
+
+def _exact_cover(universe: int, masks, by_elem, conflict, limit: Optional[int],
+                 budget: Optional[Budget]) -> SearchResult:
+    """The engine of solve_exact_cover, on its tables: masks[i], the elements
+    candidate i covers; by_elem[e]; conflict[i]."""
+    counts = [cands.bit_count() for cands in by_elem]
+    depth = max(counts, default=0).bit_length()
+    root = [sum((n >> j & 1) << e for e, n in enumerate(counts)) for j in range(depth)]
+    top_down = range(depth - 1, -1, -1)
     meter = _Meter(budget)
     tick = meter.tick
     solutions: list[frozenset[int]] = []
     chosen: list[int] = []  # chosen[d]: the candidate being tried at stack[d]
-    stack: list[list[int]] = []  # [covered, alive, untried candidates]
+    stack: list[list] = []  # [uncovered, alive, planes, untried candidates]
 
-    def enter(covered: int, alive: int) -> None:
+    def enter(uncovered: int, alive: int, planes: list[int]) -> None:
         tick()
-        if covered == full:
+        if not uncovered:
             solutions.append(frozenset(chosen))
             if limit is not None and len(solutions) >= limit:
                 raise _Stop(False)
             return
-        fewest = len(masks) + 1
-        for bit, cands in elements:
-            if covered & bit:
-                continue
-            live = cands & alive
-            count = live.bit_count()
-            if count < fewest:
-                if not count:
-                    return
-                fewest = count
-                best = live
-        stack.append([covered, alive, best])
+        fewest = uncovered
+        for j in top_down:
+            low = fewest & ~planes[j]
+            if low:
+                fewest = low
+        live = by_elem[(fewest & -fewest).bit_length() - 1] & alive
+        if live:  # else an uncovered element has no live candidate
+            stack.append([uncovered, alive, planes, live])
 
     exhausted = True
     budget_hit = False
@@ -186,19 +209,42 @@ def solve_exact_cover(inst: ExactCoverInstance, limit: Optional[int] = None,
         if universe == 0:
             solutions.append(frozenset())
         else:
-            enter(0, (1 << len(masks)) - 1)
+            enter((1 << universe) - 1, (1 << len(masks)) - 1, root)
         while stack:
             frame = stack[-1]
             del chosen[len(stack) - 1:]
-            untried = frame[2]
+            uncovered, alive, planes, untried = frame
             if not untried:
                 stack.pop()
                 continue
             low = untried & -untried
-            frame[2] = untried ^ low
+            frame[3] = untried ^ low
             i = low.bit_length() - 1
             chosen.append(i)
-            enter(frame[0] | masks[i], frame[1] & ~conflict[i])
+            uncovered ^= masks[i]
+            killed = alive & conflict[i]
+            alive ^= killed
+            batches = []
+            batch = 0
+            while killed:
+                g = killed & -killed
+                killed ^= g
+                m = masks[g.bit_length() - 1] & uncovered
+                if batch & m:
+                    batches.append(batch)
+                    batch = m
+                else:
+                    batch |= m
+            batches.append(batch)
+            planes = planes[:]
+            for borrow in batches:
+                for j in range(depth):
+                    old = planes[j]
+                    planes[j] = old ^ borrow
+                    borrow &= ~old
+                    if not borrow:
+                        break
+            enter(uncovered, alive, planes)
     except _Stop as stop:
         exhausted = False
         budget_hit = stop.budget_hit
@@ -210,11 +256,13 @@ def find_ovoids(s: IncidenceStructure, limit: Optional[int] = None,
     """Point sets meeting every line exactly once, via exact cover on lines.
 
     The structure must pass verify_gq.  Solutions are frozensets of points.
+    Points clash exactly when collinear, so the masks s caches are the tables.
     """
+    _check_limit(limit)
     verify_gq(s)
-    inst = ExactCoverInstance(len(s.lines),
-                              tuple(frozenset(t) for t in s.lines_through))
-    res = solve_exact_cover(inst, limit=limit, budget=budget)
+    conflict = [m | 1 << p for p, m in enumerate(s.neighbor_masks)]
+    res = _exact_cover(len(s.lines), s.point_masks, s.line_masks, conflict,
+                       limit, budget)
     for ovoid in res.solutions:
         verify_ovoid(s, ovoid)
     return res
@@ -234,9 +282,8 @@ def find_ntlrs(design: Design, limit: Optional[int] = None,
     consumed in ascending index order at the content's lowest point; that
     one point's choice fixes their alignment everywhere.
     """
+    _check_limit(limit)
     params = verify_bibd(design)
-    if limit is not None and limit < 1:
-        raise ValueError("limit must be positive")
     v = design.point_count
     if (v - 1) % (params.k - 1):
         return SearchResult([], True, 0)

@@ -294,6 +294,25 @@ def test_exact_cover_matches_brute_force():
     print("exact cover agrees with brute force on 100 random instances")
 
 
+def test_ovoid_search_picks_its_branches_fast():
+    # a node-capped search on W(7) with points and lines in a seeded order;
+    # the first call fills the masks the structure caches
+    rng = random.Random(1)
+    s = symplectic_gq(7)
+    perm = list(range(s.point_count))
+    rng.shuffle(perm)
+    lines = [[perm[x] for x in line] for line in s.lines]
+    rng.shuffle(lines)
+    w7 = IncidenceStructure(s.point_count, lines)
+    find_ovoids(w7, budget=Budget(max_nodes=3000))
+    elapsed = clock()
+    res = find_ovoids(w7, budget=Budget(max_nodes=3000))
+    dt = elapsed()
+    assert res.budget_exceeded and res.nodes == 3001 and not res.solutions
+    assert dt < 0.12
+    print(f"W(7) ovoid search, 3001 nodes ({dt * 1000:.0f}ms)")
+
+
 def test_canonical_form_is_relabeling_invariant():
     structures = [symplectic_gq(2), dual(symplectic_gq(2)), hermitian_gq(2),
                   symplectic_gq(3), parabolic_gq(3), symplectic_gq(4)]

@@ -121,10 +121,33 @@ def test_candidate_validation():
     {"max_seconds": "1"},
     {"max_nodes": -3},  # would cut at the first node
     {"max_nodes": 2.5},
+    {"max_nodes": False},  # a bool is not a count
+    {"max_nodes": True},
+    {"max_seconds": True},
+    {"max_seconds": False},
 ])
 def test_budget_rejects_bad_limits(fields):
     with pytest.raises(ValueError, match=next(iter(fields))):
         Budget(**fields)
+
+
+@pytest.mark.parametrize("limit", [0, -1, 2.5, True, False, "2", 2.0])
+def test_searches_reject_a_limit_that_is_not_a_positive_int(limit):
+    # checked before find_ovoids and find_ntlrs verify their inputs, which
+    # here are invalid
+    with pytest.raises(ValueError, match="limit must be None or an int >= 1"):
+        solve_exact_cover(ExactCoverInstance(2, (frozenset({0, 1}),)), limit=limit)
+    with pytest.raises(ValueError, match="limit must be None or an int >= 1"):
+        find_ovoids(fano_incidence(), limit=limit)
+    with pytest.raises(ValueError, match="limit must be None or an int >= 1"):
+        find_ntlrs(Design(4, [(0, 1), (2, 3)]), limit=limit)
+
+
+def test_searches_accept_a_positive_int_limit(w2, tripled_plane):
+    assert len(find_ovoids(w2, limit=2).solutions) == 2
+    assert len(find_ntlrs(tripled_plane, limit=2).solutions) == 2
+    assert len(solve_exact_cover(ExactCoverInstance(1, (frozenset({0}),) * 3),
+                                 limit=2).solutions) == 2
 
 
 def test_budget_accepts_its_bounds():
@@ -248,6 +271,48 @@ def test_exact_cover_matches_reference_engine():
                 (inst, limit, budget)
             runs += 1
     assert runs == 1600
+
+
+def _tall_instance(rng):
+    """Up to 16 elements, one to three of them with 30-80 candidates, often
+    exactly 32 or 64, so one kill borrows across six or seven count planes.
+    Some candidates repeat the one before, and most overlap, so the kills of
+    one choice are subtracted in several batches."""
+    n = rng.randrange(6, 17)
+    counts = [0] * n
+    candidates = []
+    for e in rng.sample(range(n), rng.randrange(1, 4)):
+        target = rng.choice([32, 64, 31, 33, 63, 65, rng.randrange(30, 81)])
+        while counts[e] < target:
+            if candidates and e in candidates[-1] and rng.random() < 0.15:
+                cand = candidates[-1]
+            else:
+                cand = frozenset([e, *rng.sample(range(n), rng.randrange(1, n // 2 + 1))])
+            candidates.append(cand)
+            for x in cand:
+                counts[x] += 1
+    for _ in range(rng.randrange(0, 6)):
+        candidates.append(frozenset(rng.sample(range(n), rng.randrange(1, 3))))
+    rng.shuffle(candidates)
+    return ExactCoverInstance(n, tuple(candidates)), counts
+
+
+def test_exact_cover_matches_reference_engine_on_tall_columns():
+    rng = random.Random(3264)
+    at_power = 0
+    for _ in range(80):
+        inst, counts = _tall_instance(rng)
+        at_power += 32 in counts or 64 in counts
+        for limit, budget in [(None, None),
+                              (rng.randrange(1, 6), None),
+                              (None, Budget(max_nodes=rng.randrange(1, 300))),
+                              (rng.randrange(1, 6), Budget(max_nodes=rng.randrange(1, 300)))]:
+            got = solve_exact_cover(inst, limit=limit, budget=budget)
+            want = _reference_exact_cover(inst, limit=limit, budget=budget)
+            assert (got.solutions, got.nodes, got.exhausted, got.budget_exceeded) == \
+                (want.solutions, want.nodes, want.exhausted, want.budget_exceeded), \
+                (inst, limit, budget)
+    assert at_power >= 20
 
 
 # ---------------------------------------------------------
@@ -417,6 +482,16 @@ FROZEN_TRACES = {
     "ovoids W(5) seed 2": (
         lambda: find_ovoids(_relabeled(symplectic_gq(5), 2, IncidenceStructure)),
         (2437, True, False, 0, NO_SOLUTIONS)),
+    "ovoids Q(4,5) seed 1": (
+        lambda: find_ovoids(_relabeled(parabolic_gq(5), 1, IncidenceStructure)),
+        (14674, True, False, 300, "e5587d31537f03e502c20c774d6a3197aefb41d7541a23d53d85d2cfc25dbcf7")),
+    "ovoids H(3,9) seed 1 limit 500": (  # lines of 10 points: 4 count planes
+        lambda: find_ovoids(_relabeled(hermitian_gq(3), 1, IncidenceStructure), limit=500),
+        (8777, False, False, 500, "9820c26d8518f1d183239c9461e719056745ac35ef0dc4e830689514bbaf013f")),
+    "ovoids W(7) seed 1 3k nodes": (
+        lambda: find_ovoids(_relabeled(symplectic_gq(7), 1, IncidenceStructure),
+                            budget=Budget(max_nodes=3000)),
+        (3001, False, True, 0, NO_SOLUTIONS)),
     "ntlrs 3xAG(2,3)": (
         lambda: find_ntlrs(replicate(affine_plane(3), 3)),
         (8577, True, False, 72, "82addeb6a62038e60718346752bb246af6acaccb10b524d77e8ceed7665dd6f7")),

@@ -141,6 +141,8 @@ def cmd_construct(args, rep: Report) -> int:
             raise UsageError("--with-lrs only applies to --family sprott")
     if args.out is None:
         raise UsageError("construct requires --out")
+    if args.lrs_out is not None and not args.with_lrs:
+        raise UsageError("--lrs-out only applies with --with-lrs")
     try:
         field = field_of_order(q)
     except ValueError as exc:
@@ -180,7 +182,10 @@ def cmd_construct(args, rep: Report) -> int:
 
     if args.lam is None:
         raise UsageError("--family sprott requires --lambda")
-    _, d = sprott_design(field.p, field.a, args.lam)
+    try:
+        _, d = sprott_design(field.p, field.a, args.lam)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     rep.add("lambda", args.lam)
     _report_design(d, rep)
     _write_text(args.out, write_design(d), rep, "output.design")

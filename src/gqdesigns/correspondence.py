@@ -14,7 +14,7 @@ trips check each object exactly once.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 from .geometry import is_regular_pair
 from .structures import (Design, DesignParams, GQParams, IncidenceStructure,
@@ -24,15 +24,14 @@ from .structures import (Design, DesignParams, GQParams, IncidenceStructure,
 
 @dataclass(frozen=True)
 class OvoidLabeledGQ:
-    """A verified GQ with a distinguished ovoid and point provenance.
+    """A verified GQ with a distinguished ovoid.
 
-    provenance[i] is ("design-point", j) or ("instance", j), recording which
-    source object became GQ point i.
+    Points 0..v-1 are the design points and form the ovoid; point v + j is
+    block instance j.
     """
 
     structure: IncidenceStructure
     ovoid: frozenset[int]
-    provenance: tuple[tuple[str, int], ...]
 
 
 def _verify_gq_with_ovoid(s: IncidenceStructure, ovoid) -> GQParams:
@@ -43,35 +42,42 @@ def _verify_gq_with_ovoid(s: IncidenceStructure, ovoid) -> GQParams:
     return params
 
 
-def _design_from_ovoid(s: IncidenceStructure, ovoid
-                       ) -> tuple[Design, LocalResolutionSystem]:
-    o_points = sorted(ovoid)
-    o_index = {p: i for i, p in enumerate(o_points)}
-    o_mask = 0
-    for p in o_points:
-        o_mask |= 1 << p
-    outside = [x for x in range(s.point_count) if not (o_mask >> x) & 1]
-    x_index = {x: j for j, x in enumerate(outside)}
+def _numbering(s: IncidenceStructure, ovoid) -> list[int]:
+    """source[i] is the GQ point behind design point i, for i below the ovoid
+    size v, or behind block instance i - v: the ovoid points ascending, then
+    the other points ascending."""
+    o_set = frozenset(ovoid)
+    return sorted(o_set) + [x for x in range(s.point_count) if x not in o_set]
 
+
+def _design_from_ovoid(s: IncidenceStructure, source: Sequence[int], v: int
+                       ) -> tuple[Design, LocalResolutionSystem]:
+    rank = [0] * len(source)
+    o_mask = 0
+    for i, x in enumerate(source):
+        rank[x] = i
+        if i < v:
+            o_mask |= 1 << x
+
+    # ranks of ovoid points ascend with the points, so each block comes sorted
     blocks = []
-    for x in outside:
+    for x in source[v:]:
         reach = s.neighbor_masks[x] & o_mask
         blk = []
         while reach:
             low = reach & -reach
-            blk.append(o_index[low.bit_length() - 1])
+            blk.append(rank[low.bit_length() - 1])
             reach ^= low
-        blocks.append(tuple(sorted(blk)))
-    design = Design(len(o_points), blocks)
+        blocks.append(blk)
 
     # an ovoid meets each line only at p, so the rest of the line is outside
     classes_by_point = []
-    for p in o_points:
+    for p in source[:v]:
         classes = []
         for j in s.lines_through[p]:
-            classes.append([x_index[x] for x in s.lines[j] if x != p])
+            classes.append([rank[x] - v for x in s.lines[j] if x != p])
         classes_by_point.append(classes)
-    return design, LocalResolutionSystem(classes_by_point)
+    return Design(v, blocks), LocalResolutionSystem(classes_by_point)
 
 
 def design_from_ovoid(s: IncidenceStructure, ovoid
@@ -86,10 +92,10 @@ def design_from_ovoid(s: IncidenceStructure, ovoid
     return.
     """
     params = _verify_gq_with_ovoid(s, ovoid)
-    design, system = _design_from_ovoid(s, ovoid)
+    st = params.s * params.t
+    design, system = _design_from_ovoid(s, _numbering(s, ovoid), 1 + st)
 
     got = verify_bibd(design)
-    st = params.s * params.t
     want = DesignParams(1 + st, params.s * (1 + st),
                         (1 + params.t) * params.s, 1 + params.t, 1 + params.t)
     if got != want:
@@ -119,11 +125,9 @@ def _gq_from_design(d: Design, system: LocalResolutionSystem) -> OvoidLabeledGQ:
     lines = []
     for p in range(v):
         for cls in system.classes[p]:
-            lines.append((p,) + tuple(v + j for j in sorted(cls)))
+            lines.append([p] + [v + j for j in cls])
     structure = IncidenceStructure(v + len(d.blocks), lines)
-    provenance = tuple(("design-point", i) for i in range(v))
-    provenance += tuple(("instance", j) for j in range(len(d.blocks)))
-    return OvoidLabeledGQ(structure, frozenset(range(v)), provenance)
+    return OvoidLabeledGQ(structure, frozenset(range(v)))
 
 
 def gq_from_design(d: Design, system: LocalResolutionSystem) -> OvoidLabeledGQ:
@@ -158,9 +162,8 @@ def roundtrip_design(d: Design, system: LocalResolutionSystem) -> bool:
     and equal class partitions at every point.
     """
     labeled = gq_from_design(d, system)
-    back_design, back_system = _design_from_ovoid(labeled.structure, labeled.ovoid)
-    if back_design.point_count != d.point_count:
-        return False
+    back_design, back_system = _design_from_ovoid(
+        labeled.structure, range(labeled.structure.point_count), d.point_count)
     if sorted(back_design.blocks) != sorted(d.blocks):
         return False
     for p in range(d.point_count):
@@ -172,35 +175,20 @@ def roundtrip_design(d: Design, system: LocalResolutionSystem) -> bool:
 def roundtrip_gq(s: IncidenceStructure, ovoid) -> bool:
     """Whether quadrangle -> design -> quadrangle lands back on the input.
 
-    The rebuilt structure is accepted only when provenance_bijection, the
-    point map both constructions define, is a bijection onto the points of s
-    that sends the rebuilt lines onto the lines of s and the rebuilt ovoid
-    onto the given ovoid: an explicit isomorphism witness.
+    Both maps share one numbering: rebuilt point i < v is the i-th smallest
+    ovoid point and rebuilt point v + j the j-th smallest point off the ovoid.
+    The rebuilt structure is accepted only when this map sends its lines onto
+    the lines of s and its ovoid onto the given ovoid: an explicit isomorphism
+    witness.
     """
     design, system = design_from_ovoid(s, ovoid)
-    labeled = _gq_from_design(design, system)
-    mapping = provenance_bijection(s, ovoid, labeled)
-    lines = sorted(tuple(sorted(mapping[p] for p in line))
-                   for line in labeled.structure.lines)
-    return (sorted(mapping.values()) == list(range(s.point_count))
-            and lines == sorted(s.lines)
-            and {mapping[p] for p in labeled.ovoid} == set(ovoid))
-
-
-def provenance_bijection(s: IncidenceStructure, ovoid,
-                         labeled: OvoidLabeledGQ) -> dict[int, int]:
-    """The intended rebuilt-point -> source-point map for a quadrangle roundtrip.
-
-    Design point i returns to the i-th smallest ovoid point; instance j to the
-    j-th smallest outside point.
-    """
-    o_set = frozenset(ovoid)
-    o_points = sorted(o_set)
-    outside = [x for x in range(s.point_count) if x not in o_set]
-    mapping = {}
-    for i, (kind, idx) in enumerate(labeled.provenance):
-        mapping[i] = o_points[idx] if kind == "design-point" else outside[idx]
-    return mapping
+    rebuilt = _gq_from_design(design, system)
+    source = _numbering(s, ovoid)
+    lines = sorted(tuple(sorted(source[p] for p in line))
+                   for line in rebuilt.structure.lines)
+    return (rebuilt.structure.point_count == len(source)
+            and {source[p] for p in rebuilt.ovoid} == set(ovoid)
+            and lines == sorted(s.lines))
 
 
 @dataclass
@@ -233,9 +221,10 @@ def check_regular_traces(s: IncidenceStructure, ovoid) -> RegularTraceReport:
     trace is their block.  Each x tries its twins in ascending order.
     """
     params = _verify_gq_with_ovoid(s, ovoid)
-    o_set = frozenset(ovoid)
-    outside = [x for x in range(s.point_count) if x not in o_set]
-    blocks = _design_from_ovoid(s, o_set)[0].blocks
+    v = 1 + params.s * params.t
+    source = _numbering(s, ovoid)
+    outside = source[v:]
+    blocks = _design_from_ovoid(s, source, v)[0].blocks
     twins: dict[tuple[int, ...], list[int]] = {}
     for x, blk in zip(outside, blocks):
         twins.setdefault(blk, []).append(x)

@@ -110,25 +110,17 @@ def sprott_lrs(q: int) -> tuple[Design, LocalResolutionSystem]:
             cls.append(tuple(sorted(f.mul(scale, e) for e in special)))
         zero_classes.append(cls)
 
-    # match described block contents to instance indices, consuming ascending
-    by_content: dict[tuple[int, ...], list[int]] = {}
-    for idx, blk in enumerate(design.blocks):
-        by_content.setdefault(blk, []).append(idx)
+    # no block of this family repeats, so each content names one instance
+    index = {blk: j for j, blk in enumerate(design.blocks)}
+    if len(index) != len(design.blocks):
+        raise RuntimeError("the developed design repeats a block")
 
     classes_by_point = []
     for v in range(qq):
-        cursor = {c: 0 for c in by_content}
+        shift = [f.add(e, v) for e in f.elements()]
         point_classes = []
         for cls in zero_classes:
-            out = []
-            for content in cls:
-                shifted = tuple(sorted(f.add(e, v) for e in content))
-                pool = by_content.get(shifted)
-                pos = cursor.get(shifted, 0)
-                if pool is None or pos >= len(pool):
-                    raise RuntimeError(f"described block {shifted} matches no remaining instance")
-                out.append(pool[pos])
-                cursor[shifted] = pos + 1
-            point_classes.append(out)
+            point_classes.append([index[tuple(sorted([shift[e] for e in content]))]
+                                  for content in cls])
         classes_by_point.append(point_classes)
     return design, LocalResolutionSystem(classes_by_point)

@@ -88,11 +88,23 @@ def test_construct_usage_errors(tmp_path):
          "--out", "x"),                                            # stray lambda
         ("construct", "--family", "sprott", "--q", "4", "--lambda", "5",
          "--with-lrs", "--out", "x", "--lrs-out", "y"),            # wrong lambda
+        ("construct", "--family", "W", "--q", "2", "--out", "x",
+         "--lrs-out", "y"),                                        # stray --lrs-out
+        ("construct", "--family", "sprott", "--q", "9", "--lambda", "3",
+         "--out", "x", "--lrs-out", "y"),                          # no --with-lrs
+        ("construct", "--family", "sprott", "--q", "9", "--lambda", "1",
+         "--out", "x"),                                            # lambda < 2
+        ("construct", "--family", "sprott", "--q", "9", "--lambda", "9",
+         "--out", "x"),                                            # lambda >= q
+        ("construct", "--family", "sprott", "--q", "16", "--lambda", "5",
+         "--out", "x"),                                            # 4 does not divide 15
     ]
     for args in cases:
         proc = run(*args, cwd=tmp_path)
         assert proc.returncode == 2, args
         assert proc.stderr
+        assert not proc.stdout, args
+        assert not list(tmp_path.iterdir()), args
 
 
 def test_verify_failure_gives_exit_one(tmp_path):

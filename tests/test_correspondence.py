@@ -1,5 +1,7 @@
 import collections
 import contextlib
+import functools
+import hashlib
 import itertools
 import random
 from unittest import mock
@@ -15,12 +17,12 @@ from gqdesigns.correspondence import (
     design_from_ovoid,
     detect_replication,
     gq_from_design,
-    provenance_bijection,
     roundtrip_design,
     roundtrip_gq,
 )
+from gqdesigns.fileformats import write_design, write_incidence, write_lrs
 from gqdesigns.geometry import (hermitian_gq, is_regular_pair, parabolic_gq,
-                                trace_pair)
+                                symplectic_gq, trace_pair)
 from gqdesigns.search import find_ovoids, find_ntlrs
 from gqdesigns.sprott import affine_plane, replicate, sprott_design
 from gqdesigns.structures import (
@@ -92,29 +94,19 @@ def test_backward_map_parameters(sprott4):
     verify_ovoid(labeled.structure, labeled.ovoid)
 
 
-def test_backward_map_provenance(sprott4):
+def test_backward_map_numbering(sprott4):
+    # design point i is GQ point i, instance j is GQ point v + j, and the
+    # lines come in class order: point by point, classes as stored
     d, system = sprott4
+    v = d.point_count
     labeled = gq_from_design(d, system)
-    tags = labeled.provenance
-    assert len(tags) == labeled.structure.point_count
-    design_pts = [i for i, (kind, _) in enumerate(tags)
-                  if kind == "design-point"]
-    instances = [idx for kind, idx in tags if kind == "instance"]
-    assert len(design_pts) == d.point_count
-    assert sorted(instances) == list(range(len(d.blocks)))
-    assert frozenset(design_pts) == labeled.ovoid
-
-
-def test_provenance_bijection_carries_the_roundtrip(w2, w2_ovoids):
-    o = w2_ovoids[0]
-    d, system = design_from_ovoid(w2, o)
-    rebuilt = gq_from_design(d, system)
-    mapping = provenance_bijection(w2, o, rebuilt)
-    assert sorted(mapping) == list(range(15))
-    assert sorted(mapping.values()) == list(range(15))
-    lines = {tuple(sorted(mapping[p] for p in line))
-             for line in rebuilt.structure.lines}
-    assert lines == set(w2.lines)
+    assert labeled.ovoid == frozenset(range(v))
+    built = [(p, c) for p in range(v) for c in system.classes[p]]
+    assert len(built) == len(labeled.structure.lines)
+    for (p, c), line in zip(built, labeled.structure.lines):
+        assert p in line
+        for j in range(len(d.blocks)):
+            assert (v + j in line) == (j in c)
 
 
 def test_backward_map_rejects_triangular_systems(tripled_plane):
@@ -154,7 +146,7 @@ def test_roundtrip_from_the_quadrangle_side(w2, w2_ovoids):
 
 
 def test_roundtrip_gq_needs_no_canonical_form(w2, w2_ovoids):
-    # the provenance bijection is the isomorphism witness; no search for one
+    # the shared numbering is the isomorphism witness; no search for one
     cases = [(w2, o) for o in w2_ovoids]
     for s in (parabolic_gq(3), hermitian_gq(2)):
         cases.append((s, find_ovoids(s, limit=1).solutions[0]))
@@ -174,7 +166,7 @@ def test_roundtrip_gq_rejects_a_damaged_back_map(w2, w2_ovoids):
         swap = {v: v + 1, v + 1: v}
         lines = [[swap.get(p, p) for p in line] for line in labeled.structure.lines]
         structure = IncidenceStructure(labeled.structure.point_count, lines)
-        return OvoidLabeledGQ(structure, labeled.ovoid, labeled.provenance)
+        return OvoidLabeledGQ(structure, labeled.ovoid)
 
     with mock.patch.object(correspondence, "_gq_from_design", damaged):
         for o in w2_ovoids:
@@ -308,6 +300,110 @@ def test_regular_trace_induced_design_is_a_tripled_plane(gq42):
     base, n = got
     assert n == 3  # 1 + t
     assert designs_isomorphic(base, affine_plane(3))[0]
+
+
+# ---------------------------------------------------------
+# Frozen outputs of both maps
+# ---------------------------------------------------------
+
+# (GQ, ovoid index, relabeled): sha256 of write_design + write_lrs of
+# design_from_ovoid, then of write_incidence of gq_from_design on that pair.
+# The point, instance and class numbering of both maps is part of the
+# contract; a relabeled case runs the GQ under _relabeled with seed = index.
+FROZEN_MAPS = {
+    ("W(2)", 0, False): (
+        "2a6cde772d8cd14e75e362c46ff1f3a70c4bd90bcff853ff6df24fcc5652617e",
+        "ccdcddd162692c76a56996c0e6795cf3506a4d9334fe6860830f74291881e839"),
+    ("W(2)", 0, True): (
+        "5c24b1806dcd8e415cc91f81b81c7d5304149305b0bfcbd89b74ddd9fbe2a429",
+        "64f8a1563281a057d2872bbff99674d65e18791ccdfdb7e31eb3ac6d562ae02b"),
+    ("W(2)", 1, False): (
+        "2a6cde772d8cd14e75e362c46ff1f3a70c4bd90bcff853ff6df24fcc5652617e",
+        "ccdcddd162692c76a56996c0e6795cf3506a4d9334fe6860830f74291881e839"),
+    ("W(2)", 1, True): (
+        "ef5b6bea2ef5f9ddb08f7166d5a81b8b37d59f8e47cb9d27b50cf216a5f90d7f",
+        "ba4bb244c90d39bf4409d223be15fa8d3d345914d0ace5252b50f25ae02fdabd"),
+    ("W(2)", 2, False): (
+        "ba5cbb7f838040207e51dbf8b8855a979080fe607936f7a6562030c131501bfb",
+        "4be659a8f1b3ff9ffc23aba7622c913ade9ae25d63470474cb0b08bdb1a8bf87"),
+    ("W(2)", 2, True): (
+        "5e3a52b85e53d7d77ae283c6185583848a52b627b36fa78ae94e8dc4ae186f4b",
+        "ace2cf5076b52f962af47df3631770607fa9ef74ea9ff6bb5359cac0fa338f24"),
+    ("W(2)", 3, False): (
+        "f7ca1e0b3258421fef913389a197f45c8a6aad38b08702345870956bb5dc2926",
+        "b12ac41ae47f7734b6e6c4be24ddb8caa1d08e778f5e83a8cdc23ba2d59b5a68"),
+    ("W(2)", 3, True): (
+        "b23a482c22bee865209585835274507013d2ce8dfb72fd1c57a602de597f3851",
+        "5fd1a95a03e1f863738d7332cd1b903dfe1283b45677cb25849e8bd9494ae7fb"),
+    ("W(2)", 4, False): (
+        "4eda4a96a599aab6fc2158c444015b04d3225d854e1aab1293bbbc5140a9f22d",
+        "677528078abcd47b94e478964743d003c8f698c63d4dfb2937aeaba079d42307"),
+    ("W(2)", 4, True): (
+        "7eb859cdd3d4895b7eb65dedc73d8f29faf1a2d6d61037afa2939c6bd4c8bd62",
+        "4123499079806e8d05a58885834775199d87caa1a46731b1efe912138bbfe657"),
+    ("W(2)", 5, False): (
+        "2a6cde772d8cd14e75e362c46ff1f3a70c4bd90bcff853ff6df24fcc5652617e",
+        "ccdcddd162692c76a56996c0e6795cf3506a4d9334fe6860830f74291881e839"),
+    ("W(2)", 5, True): (
+        "a8f31b75510c4db4b8ae7e841bfd89c4a732e0a7d3037b4f4f14c588db7e4cfe",
+        "caf875a27e3fa59be221a5f27a31853b7029f848fbc048455d80b104ed11db39"),
+    ("Q(4,3)", 0, False): (
+        "4970c36c138183b9bfc6ac4d02861853ae2a616e3a0c5384c85eaa336a78fd9b",
+        "c5c32e6f27f0f52a7cf3dc85e11f86a045ca04144910eff8c4ae4786926b3227"),
+    ("Q(4,3)", 0, True): (
+        "8b834cf0f5bdcc913336a0e2914873e4a5499b32cb21c433f82d92cbf37494be",
+        "2c673e358dd4adac1665dad1370acda3f58cafef82edbf3d3fb6d94912374556"),
+    ("Q(4,3)", 1, False): (
+        "b12689de1dc9bc2482014909f5269f882b92f4d6a2d1cf809c67219a55701d45",
+        "800e6bbefd791c498e215151f8ccfb49c0a65e60a8ac7ba6c92283a0490fa9c9"),
+    ("Q(4,3)", 1, True): (
+        "82f9114d1dc65989fe0db969d18c984d8f9e02ca4ee6c1a76c2bddbe6a06a3f8",
+        "fdf29bdcacfb1895b86f2be97e603d035515c68b69808094bd172fd5c94733e0"),
+    ("Q(4,3)", 2, False): (
+        "cbc10264a3c739faa512c1a6620d58accf812d010d90ece37e06e58722e8e47b",
+        "2d14d27cc507e89aa4d91b0f5ef92e01a7fb750c62ddd45eac399bc7e4c7f1af"),
+    ("Q(4,3)", 2, True): (
+        "2b887f04a082e18de03547283cb2f04864d7b0269d002b199276313cd94c75c7",
+        "31170470ea7e4fb918b27311adaa920bd91726c462bbbf5a5650f1e3f7175995"),
+    ("H(3,4)", 0, False): (
+        "aa9aefe971ed320607785deef16ad35504ad05ebd24e3378770b38e24a6aa9de",
+        "015c150132e7d6b5806460594466c063c923436afba42a0a8b90b01779cc05ed"),
+    ("H(3,4)", 0, True): (
+        "30890812fbfb845310550c28b6809871395e8ca67f4676ffb9a292aa0844d1ef",
+        "b86311dc50ee9a07ae64a66aa29a2a8a65b5d1112352613a79c71080fa50cb30"),
+    ("H(3,4)", 1, False): (
+        "dbcae914bf6aa14ab9885734f67685c6150d576980901fb451f70ba09f0f4f84",
+        "9f012c411933a34f98971c1cf9e8425e0dac0cee9dd8dd5be3182a7d7614dfd4"),
+    ("H(3,4)", 1, True): (
+        "bfe92e318eb6c273b0523ad2bac8b4ef0c787deb55f0e704ea780b992b886ebf",
+        "91babfbeb7017938eb6ea9a062c47f82c466f6310ee89f224786930f25d8990c"),
+}
+
+_MAP_SOURCES = {"W(2)": (symplectic_gq, 2, None), "Q(4,3)": (parabolic_gq, 3, 3),
+                "H(3,4)": (hermitian_gq, 2, 2)}
+
+
+@functools.lru_cache(maxsize=None)
+def _first_ovoids(name):
+    maker, q, limit = _MAP_SOURCES[name]
+    s = maker(q)
+    return s, find_ovoids(s, limit=limit).solutions
+
+
+@pytest.mark.parametrize("case", list(FROZEN_MAPS),
+                         ids=[f"{n} ovoid {i}{' relabeled' * r}"
+                              for n, i, r in FROZEN_MAPS])
+def test_frozen_maps(case):
+    name, i, relabeled = case
+    s, ovoids = _first_ovoids(name)
+    o = ovoids[i]
+    if relabeled:
+        s, o = _relabeled(s, o, random.Random(i))
+    d, system = design_from_ovoid(s, o)
+    back = gq_from_design(d, system).structure
+    got = (hashlib.sha256((write_design(d) + write_lrs(system)).encode()),
+           hashlib.sha256(write_incidence(back).encode()))
+    assert tuple(h.hexdigest() for h in got) == FROZEN_MAPS[case]
 
 
 # ---------------------------------------------------------

@@ -1,7 +1,11 @@
+import hashlib
 import itertools
+from unittest import mock
 
 import pytest
 
+from gqdesigns import sprott
+from gqdesigns.fileformats import write_design, write_lrs
 from gqdesigns.field import make_field
 from gqdesigns.sprott import (
     affine_plane,
@@ -11,6 +15,7 @@ from gqdesigns.sprott import (
     sprott_lrs,
 )
 from gqdesigns.structures import (
+    Design,
     DesignParams,
     verify_bibd,
     verify_lrs,
@@ -142,3 +147,36 @@ def test_explicit_system_at_q8_verifies():
     assert verify_bibd(d) == DesignParams(64, 448, 70, 10, 10)
     verify_lrs(d, system)
     assert verify_non_triangular(d, system) is None
+
+
+# sha256 of write_design + write_lrs of sprott_lrs(q): instance and class
+# numbering are part of the contract
+FROZEN_SYSTEMS = {
+    4: "58cc3e811e1ff7732a8fd8e5cbb0fb76eda32de56313b01211a9e4dc0fb82ecb",
+    8: "d7173c39a51d3adc8ac32ba4a2850845dc5041f4379e8f82b8f412f03b6fc850",
+}
+
+
+@pytest.mark.parametrize("q", list(FROZEN_SYSTEMS))
+def test_frozen_explicit_systems(q):
+    d, system = sprott_lrs(q)
+    text = write_design(d) + write_lrs(system)
+    assert hashlib.sha256(text.encode()).hexdigest() == FROZEN_SYSTEMS[q]
+
+
+@pytest.mark.parametrize("a", [2, 3, 4])
+def test_explicit_system_designs_repeat_no_block(a):
+    _, d = sprott_design(2, 2 * a, 2 ** a + 2)
+    assert len(set(d.blocks)) == len(d.blocks)
+
+
+def test_explicit_system_rejects_a_repeated_block():
+    real = sprott.sprott_design
+
+    def doubled(p, a, lam):
+        fam, d = real(p, a, lam)
+        return fam, Design(d.point_count, d.blocks[:1] + d.blocks[:1] + d.blocks[2:])
+
+    with mock.patch.object(sprott, "sprott_design", doubled):
+        with pytest.raises(RuntimeError):
+            sprott_lrs(4)

@@ -86,6 +86,8 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]],
     for u, w in edges:
         if u == w:
             raise ValueError("loops are not supported")
+        if not (0 <= u < n and 0 <= w < n):
+            raise ValueError(f"edge ({u}, {w}) has a vertex outside 0..{n - 1}")
         adj[u].add(w)
         adj[w].add(u)
     cols = tuple(colors)

@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 
 from .geometry import is_regular_pair
 from .structures import (Design, DesignParams, GQParams, IncidenceStructure,
-                         LocalResolutionSystem, verify_bibd, verify_gq,
+                         LocalResolutionSystem, _bits, verify_bibd, verify_gq,
                          verify_lrs, verify_non_triangular, verify_ovoid)
 
 
@@ -60,15 +60,8 @@ def _design_from_ovoid(s: IncidenceStructure, source: Sequence[int], v: int
             o_mask |= 1 << x
 
     # ranks of ovoid points ascend with the points, so each block comes sorted
-    blocks = []
-    for x in source[v:]:
-        reach = s.neighbor_masks[x] & o_mask
-        blk = []
-        while reach:
-            low = reach & -reach
-            blk.append(rank[low.bit_length() - 1])
-            reach ^= low
-        blocks.append(blk)
+    blocks = [[rank[p] for p in _bits(s.neighbor_masks[x] & o_mask)]
+              for x in source[v:]]
 
     # an ovoid meets each line only at p, so the rest of the line is outside
     classes_by_point = []
@@ -91,6 +84,7 @@ def design_from_ovoid(s: IncidenceStructure, ovoid
     is re-verified (parameters, partitions, and non-triangularity) before
     return.
     """
+    ovoid = frozenset(ovoid)  # read an iterator once
     params = _verify_gq_with_ovoid(s, ovoid)
     st = params.s * params.t
     design, system = _design_from_ovoid(s, _numbering(s, ovoid), 1 + st)
@@ -181,6 +175,7 @@ def roundtrip_gq(s: IncidenceStructure, ovoid) -> bool:
     the lines of s and its ovoid onto the given ovoid: an explicit isomorphism
     witness.
     """
+    ovoid = frozenset(ovoid)
     design, system = design_from_ovoid(s, ovoid)
     rebuilt = _gq_from_design(design, system)
     source = _numbering(s, ovoid)
@@ -214,32 +209,37 @@ def check_regular_traces(s: IncidenceStructure, ovoid) -> RegularTraceReport:
     """Regular-trace coverage of a GQ(s,t) with an ovoid O, read off its blocks.
 
     The partners y of an outside point x, those with {x,y}^perp inside O, are
-    exactly its twins: the other outside points with the same block.  The
-    trace and each block have t + 1 points and the trace lies in x^perp and
-    y^perp, so a trace inside O is both blocks; and collinear points share
-    only the ovoid point of their line, so twins are non-collinear and their
-    trace is their block.  Each x tries its twins in ascending order.
+    exactly its twins: the other outside points with the same block, the
+    ovoid points collinear with it.  Every trace of a non-collinear pair and
+    every block has t + 1 points (Payne & Thas, 1.3), and the trace lies in
+    x^perp and y^perp, so a trace inside O is both blocks; and collinear
+    points share only the ovoid point of their line, so twins are
+    non-collinear and their trace is their block.  All twins of a group thus
+    share one trace and one span, and one regularity test on its two lowest
+    members decides the group.  The witness of x is the lowest other member
+    of its group.
     """
+    ovoid = frozenset(ovoid)  # read an iterator once
     params = _verify_gq_with_ovoid(s, ovoid)
-    v = 1 + params.s * params.t
-    source = _numbering(s, ovoid)
-    outside = source[v:]
-    blocks = _design_from_ovoid(s, source, v)[0].blocks
-    twins: dict[tuple[int, ...], list[int]] = {}
-    for x, blk in zip(outside, blocks):
+    o_mask = sum(1 << p for p in ovoid)
+    block = {x: s.neighbor_masks[x] & o_mask
+             for x in range(s.point_count) if not o_mask >> x & 1}
+    twins: dict[int, list[int]] = {}
+    for x, blk in block.items():
         twins.setdefault(blk, []).append(x)
+    regular = {blk for blk, g in twins.items()
+               if len(g) > 1 and is_regular_pair(s, g[0], g[1])}
 
     witnesses: dict[int, int] = {}
-    for x, blk in zip(outside, blocks):
-        for y in twins[blk]:
-            if y != x and is_regular_pair(s, x, y):
-                witnesses[x] = y
-                break
-    failed = next((x for x in outside if x not in witnesses), None)
+    for x, blk in block.items():
+        if blk in regular:
+            g = twins[blk]
+            witnesses[x] = g[1] if x == g[0] else g[0]
+    failed = next((x for x in block if x not in witnesses), None)
     return RegularTraceReport(
         failed is None, witnesses, failed,
         all(len(g) == 1 + params.t for g in twins.values()),
-        all(any(x in witnesses for x in g) for g in twins.values()))
+        len(regular) == len(twins))
 
 
 def detect_replication(d: Design) -> Optional[tuple[Design, int]]:

@@ -21,7 +21,7 @@ from __future__ import annotations
 from itertools import product
 
 from .field import Field, field_of_order, field_tables, make_field
-from .structures import IncidenceStructure, verify_gq
+from .structures import IncidenceStructure, _bits, verify_gq
 
 
 def _projective_points(q: int, ncoords: int) -> list[tuple[int, ...]]:
@@ -118,7 +118,7 @@ def _check_point(s: IncidenceStructure, x: int) -> None:
 def perp(s: IncidenceStructure, x: int) -> frozenset[int]:
     """x together with every point collinear with x."""
     _check_point(s, x)
-    return _mask_to_set(s.neighbor_masks[x] | (1 << x))
+    return frozenset(_bits(s.neighbor_masks[x] | (1 << x)))
 
 
 def trace_pair(s: IncidenceStructure, x: int, y: int) -> frozenset[int]:
@@ -129,7 +129,7 @@ def trace_pair(s: IncidenceStructure, x: int, y: int) -> frozenset[int]:
         raise ValueError("trace needs two distinct points")
     mx = s.neighbor_masks[x] | (1 << x)
     my = s.neighbor_masks[y] | (1 << y)
-    return _mask_to_set(mx & my)
+    return frozenset(_bits(mx & my))
 
 
 def span_pair(s: IncidenceStructure, x: int, y: int) -> frozenset[int]:
@@ -141,22 +141,9 @@ def span_pair(s: IncidenceStructure, x: int, y: int) -> frozenset[int]:
     mx = s.neighbor_masks[x] | (1 << x)
     my = s.neighbor_masks[y] | (1 << y)
     acc = (1 << s.point_count) - 1
-    rest = mx & my
-    while rest:
-        low = rest & -rest
-        z = low.bit_length() - 1
-        acc &= s.neighbor_masks[z] | low
-        rest ^= low
-    return _mask_to_set(acc)
-
-
-def _mask_to_set(mask: int) -> frozenset[int]:
-    out = set()
-    while mask:
-        low = mask & -mask
-        out.add(low.bit_length() - 1)
-        mask ^= low
-    return frozenset(out)
+    for z in _bits(mx & my):
+        acc &= s.neighbor_masks[z] | (1 << z)
+    return frozenset(_bits(acc))
 
 
 def is_regular_pair(s: IncidenceStructure, x: int, y: int) -> bool:
@@ -169,48 +156,64 @@ def is_regular_pair(s: IncidenceStructure, x: int, y: int) -> bool:
     return len(span_pair(s, x, y)) == params.t + 1
 
 
+def _spans_about(s: IncidenceStructure, x: int) -> list[frozenset[int]] | None:
+    """The spans {x,y}^perp-perp, y off x^perp, each once; None if x is not regular.
+
+    Every trace of a non-collinear pair has t + 1 points (Payne & Thas, 1.3).
+    A point y' != x of the span of {x, y} is off x^perp and collinear with
+    all of {x,y}^perp, so {x,y'}^perp contains that trace, equals it, and
+    gives the same span.  The spans through x thus split the points off
+    x^perp into classes, and the span of the lowest point of each class
+    decides every pair {x, y} in it.
+    """
+    t = verify_gq(s).t
+    _check_point(s, x)
+    left = ((1 << s.point_count) - 1) & ~(s.neighbor_masks[x] | (1 << x))
+    spans = []
+    while left:
+        y = (left & -left).bit_length() - 1
+        span = span_pair(s, x, y)
+        if x not in span:
+            raise RuntimeError(f"span of ({x}, {y}) does not hold {x}")
+        if len(span) != t + 1:
+            return None
+        spans.append(span)
+        for p in span:
+            left &= ~(1 << p)
+    return spans
+
+
 def is_regular_point(s: IncidenceStructure, x: int) -> bool:
     """Whether every pair {x, y} with y non-collinear to x is regular."""
-    verify_gq(s)
-    _check_point(s, x)
-    reach = s.neighbor_masks[x] | (1 << x)
-    for y in range(s.point_count):
-        if (reach >> y) & 1:
-            continue
-        if not is_regular_pair(s, x, y):
-            return False
-    return True
+    return _spans_about(s, x) is not None
 
 
 def payne_derivation(s: IncidenceStructure, x: int) -> IncidenceStructure:
-    """Derived quadrangle about a regular point of a GQ of order (q, q).
+    """Derived quadrangle about a regular point of a GQ of order (q, q), q > 1.
 
     Points: the points not collinear with x.  Lines: the lines missing x, each
     restricted to the new point set, together with the spans through x, each
-    with x removed (spans counted once).  Order (q - 1, q + 1).
+    with x removed.  A restricted line holds collinear points and a span
+    non-collinear ones, so no line comes twice.  Order (q - 1, q + 1).
     """
     params = verify_gq(s)
     _check_point(s, x)
-    if params.s != params.t:
-        raise ValueError(f"derivation needs order (q, q), got {tuple(params)}")
-    if not is_regular_point(s, x):
+    if params.s != params.t or params.s < 2:
+        raise ValueError(f"derivation needs order (q, q), q > 1, got {tuple(params)}")
+    spans = _spans_about(s, x)
+    if spans is None:
         raise ValueError(f"point {x} is not regular")
 
     reach = s.neighbor_masks[x] | (1 << x)
     keep = [p for p in range(s.point_count) if not (reach >> p) & 1]
     new_index = {p: i for i, p in enumerate(keep)}
 
-    lines = set()
+    lines = [tuple(sorted(new_index[p] for p in span if p != x)) for span in spans]
     for line in s.lines:
         if x in line:
             continue
         restricted = tuple(sorted(new_index[p] for p in line if not (reach >> p) & 1))
         if len(restricted) != len(line) - 1:
             raise RuntimeError(f"line {line} meets perp({x}) in other than one point")
-        lines.add(restricted)
-    for y in keep:
-        hyper = span_pair(s, x, y)
-        if x not in hyper:
-            raise RuntimeError(f"span of ({x}, {y}) does not hold {x}")
-        lines.add(tuple(sorted(new_index[p] for p in hyper if p != x)))
+        lines.append(restricted)
     return IncidenceStructure(len(keep), sorted(lines))

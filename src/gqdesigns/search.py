@@ -54,12 +54,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .structures import (Design, IncidenceStructure, LocalResolutionSystem,
-                         verify_bibd, verify_gq, verify_lrs,
+                         _bits, _is_int, verify_bibd, verify_gq, verify_lrs,
                          verify_non_triangular, verify_ovoid)
-
-
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
 
 
 @dataclass(frozen=True)
@@ -92,7 +88,7 @@ class ExactCoverInstance:
             raise ValueError("universe size cannot be negative")
         for idx, cand in enumerate(self.candidates):
             for e in cand:
-                if not isinstance(e, int):
+                if not _is_int(e):
                     raise ValueError(f"candidate {idx} covers {e!r}, not an int")
                 if not 0 <= e < self.universe:
                     raise ValueError(
@@ -132,16 +128,6 @@ class _Meter:
         if self.deadline is not None and (self.nodes - 1) % self.every == 0:
             if time.monotonic() >= self.deadline:
                 raise _Stop(True)
-
-
-def _bits(mask: int) -> list[int]:
-    """Indices of the set bits of mask, ascending."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
 
 
 def _check_limit(limit: Optional[int]) -> None:

@@ -82,33 +82,45 @@ class TriangleWitness(NamedTuple):
     points: tuple[int, int, int]  # points[i] labels the pair omitting blocks[i]
 
 
-def _normalize_lines(point_count: int, lines: Iterable[Iterable[int]],
-                     kind: str) -> tuple[tuple[int, ...], ...]:
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _bits(mask: int) -> list[int]:
+    """Indices of the set bits of mask, ascending."""
     out = []
-    for idx, raw in enumerate(lines):
-        pts = tuple(raw)
-        for p in pts:
-            if not isinstance(p, int):
-                raise ValueError(f"{kind} {idx} has point {p!r}, not an int")
-        pts = tuple(sorted(pts))
-        if not pts:
-            raise ValueError(f"{kind} {idx} is empty")
-        if pts[0] < 0 or pts[-1] >= point_count:
-            raise ValueError(f"{kind} {idx} references a point outside 0..{point_count - 1}")
-        if len(set(pts)) != len(pts):
-            raise ValueError(f"{kind} {idx} repeats a point")
-        out.append(pts)
-    return tuple(out)
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 class IncidenceStructure:
     """Finite points and lines, each line a set of points (no repeats inside a line)."""
 
+    _kind = "line"  # names one line in messages
+
     def __init__(self, point_count: int, lines: Iterable[Iterable[int]]):
         if point_count < 1:
             raise ValueError("need at least one point")
+        out = []
+        for idx, raw in enumerate(lines):
+            pts = tuple(raw)
+            for p in pts:
+                if type(p) is not int and not _is_int(p):  # skip the call for an int
+                    raise ValueError(f"{self._kind} {idx} has point {p!r}, not an int")
+            pts = tuple(sorted(pts))
+            if not pts:
+                raise ValueError(f"{self._kind} {idx} is empty")
+            if pts[0] < 0 or pts[-1] >= point_count:
+                raise ValueError(f"{self._kind} {idx} references a point outside "
+                                 f"0..{point_count - 1}")
+            if len(set(pts)) != len(pts):
+                raise ValueError(f"{self._kind} {idx} repeats a point")
+            out.append(pts)
         self.point_count = point_count
-        self.lines = _normalize_lines(point_count, lines, "line")
+        self.lines = tuple(out)
 
     def __eq__(self, other):
         return (isinstance(other, IncidenceStructure)
@@ -152,24 +164,19 @@ class IncidenceStructure:
     def neighbor_masks(self) -> tuple[int, ...]:
         """Per point, bitmask of the other points sharing a line with it."""
         nbr = [0] * self.point_count
-        for m in self.line_masks:
-            rest = m
-            while rest:
-                low = rest & -rest
-                p = low.bit_length() - 1
-                nbr[p] |= m & ~low
-                rest ^= low
+        for line, m in zip(self.lines, self.line_masks):
+            for p in line:
+                nbr[p] |= m & ~(1 << p)
         return tuple(nbr)
 
 
 class Design(IncidenceStructure):
     """Block design: blocks all of one size, repeated blocks kept as separate instances."""
 
+    _kind = "block"
+
     def __init__(self, point_count: int, blocks: Iterable[Iterable[int]]):
-        if point_count < 1:
-            raise ValueError("need at least one point")
-        self.point_count = point_count
-        self.lines = _normalize_lines(point_count, blocks, "block")
+        super().__init__(point_count, blocks)
         if self.lines:
             k = len(self.lines[0])
             for idx, blk in enumerate(self.lines):
@@ -205,7 +212,7 @@ class LocalResolutionSystem:
                 if not c:
                     raise ValueError(f"point {p} has an empty class")
                 for idx in c:
-                    if not isinstance(idx, int):
+                    if type(idx) is not int and not _is_int(idx):
                         raise ValueError(f"point {p}, class {ci} has instance {idx!r}, not an int")
             row.sort(key=min)
             rows.append(tuple(row))
@@ -329,7 +336,7 @@ def verify_ovoid(s: IncidenceStructure, ovoid: Iterable[int]) -> None:
     params = verify_gq(s)
     pts = frozenset(ovoid)
     for p in pts:
-        if not isinstance(p, int):
+        if not _is_int(p):
             raise OvoidError((p,), f"ovoid point {p!r} is not an int")
         if not 0 <= p < s.point_count:
             raise OvoidError((p,), f"ovoid point {p} out of range")

@@ -228,6 +228,12 @@ def test_ovoids_must_come_in_pairs(w2, w2_ovoids):
         gq_isomorphic(w2, w2, w2_ovoids[0], None)
 
 
+@pytest.mark.parametrize("edge", [(-1, 0), (0, 3), (5, 1)])
+def test_edges_must_join_vertices_of_the_graph(edge):
+    with pytest.raises(ValueError, match=rf"edge \({edge[0]}, {edge[1]}\) has a vertex outside 0..2"):
+        build_graph(3, [(0, 1), edge], [0] * 3)
+
+
 def test_marked_points_must_lie_in_the_structure(w2):
     for bad, name in (({99}, "99"), ({0, 99}, "99"), ({-1, 3}, "-1")):
         with pytest.raises(ValueError, match=f"marked point {name} outside"):

@@ -291,6 +291,28 @@ def test_regular_trace_report_on_a_failing_ovoid():
         blocks_are_traces=False)
 
 
+def test_maps_read_an_ovoid_given_as_an_iterator(w2, w2_ovoids):
+    o = w2_ovoids[0]
+    assert design_from_ovoid(w2, iter(sorted(o))) == design_from_ovoid(w2, o)
+    assert roundtrip_gq(w2, iter(sorted(o)))
+    assert check_regular_traces(w2, iter(sorted(o))) == check_regular_traces(w2, o)
+
+
+def test_regular_traces_test_one_pair_per_block(gq42):
+    # twins share their trace, so one regularity test decides each block;
+    # the blocks come from the neighbour masks, not from a built design
+    forbid = mock.Mock(side_effect=AssertionError("no design or system is built"))
+    for o in find_ovoids(gq42, limit=20).solutions:
+        blocks = {gq42.neighbor_masks[x] & sum(1 << p for p in o)
+                  for x in range(gq42.point_count) if x not in o}
+        with mock.patch.object(correspondence, "is_regular_pair",
+                               wraps=is_regular_pair) as spy, \
+                mock.patch.object(correspondence, "Design", forbid), \
+                mock.patch.object(correspondence, "LocalResolutionSystem", forbid):
+            check_regular_traces(gq42, o)
+        assert spy.call_count <= len(blocks)
+
+
 def test_regular_trace_induced_design_is_a_tripled_plane(gq42):
     res = find_ovoids(gq42)
     o = next(o for o in res.solutions if check_regular_traces(gq42, o).ok)

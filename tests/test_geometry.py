@@ -20,9 +20,9 @@ from gqdesigns.geometry import (
     symplectic_gq,
     trace_pair,
 )
-from gqdesigns.structures import GQParams, dual, verify_gq
+from gqdesigns.structures import GQParams, IncidenceStructure, dual, verify_gq
 
-from conftest import child_env
+from conftest import _gq42, child_env
 
 
 # ---------------------------------------------------------
@@ -139,6 +139,19 @@ def test_every_symplectic_point_is_regular(q):
         assert is_regular_point(s, x)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: symplectic_gq(2), lambda: symplectic_gq(3), lambda: parabolic_gq(3),
+    lambda: parabolic_gq(4), lambda: hermitian_gq(2), lambda: _gq42()],
+    ids=["W(2)", "W(3)", "Q(4,3)", "Q(4,4)", "H(3,4)", "GQ(4,2)"])
+def test_regular_point_means_every_pair_is_regular(make):
+    s = make()
+    for x in range(s.point_count):
+        reach = perp(s, x)
+        pairs = all(is_regular_pair(s, x, y)
+                    for y in range(s.point_count) if y not in reach)
+        assert is_regular_point(s, x) == pairs, x
+
+
 def test_parabolic_odd_points_are_not_regular():
     s = parabolic_gq(3)
     assert not is_regular_point(s, 0)
@@ -154,6 +167,51 @@ def test_payne_parameters(q, pt):
     derived = payne_derivation(s, pt)
     assert verify_gq(derived) == GQParams(q - 1, q + 1)
     assert derived.point_count == q * q * q
+
+
+# sha256 of write_incidence(payne_derivation(s, x)) at points 0, n//2, n-1:
+# the point and line order of each derived quadrangle is part of the contract
+FROZEN_DERIVATIONS = [
+    (symplectic_gq, 2, (
+        "2a560094bdfecb9f425ea30315b94402046037ecf146c5aa69b3a0173bb170af",
+        "aa8c483ac56c94ef357c5f9bd773db1914cc61eed0323e3d994d864811f73ebf",
+        "75bfb8b0473ac24e7653b16bce82ffcc882b394590913fde0c6609945107abe4")),
+    (symplectic_gq, 3, (
+        "210c046ddbea82559863d4acf905eefbd892318807cce5d92c92ed2c1c4c2e38",
+        "e1cbd624873604d1486b907db9e55fdc14a1bc2f1b1cb609022c1a8beb7419b7",
+        "5923c4a1d0a204ae3839ba739051fc69dc4c7ee9d2c0158d574f5cd4e28ff613")),
+    (symplectic_gq, 4, (
+        "e53429ee4f85d76b31bd8c53d7736b47b10ea52004963fb19c54062a1ca0a2f2",
+        "f702a7b8a6ec67ad6cd947e38e535e25c54019255d8b0e2e935ebd43081213f3",
+        "a2872236485e9245d822bc419002f962747c42b920293a4bb19286b02ed7490b")),
+    (symplectic_gq, 5, (
+        "4b501b7505cd97f79213971917462ff7b9a502c6dfe80f58c25e760c932f473d",
+        "0af18730d4915c669967b2786fdc4297b0041fd5e04693d573508fc9f8c0079f",
+        "cb8782ff4f7e42b0aea1a7cf0816c8f972af0a88449ea17d46a55344adace807")),
+    (parabolic_gq, 4, (
+        "5ab37d692276325b83da23c1ea4c60cdba3dc1cb0edfa98308c7796a08b521b8",
+        "9b5c8809d6e857b1c66481e8f4cd29a6328afe9876a4a176e23d2de135ada4e4",
+        "14347a578bb48c622b31ad57ba806d2f2cf512a1fa176eae0b6669edf1e52290")),
+]
+
+
+@pytest.mark.parametrize("maker,q,digests", FROZEN_DERIVATIONS,
+                         ids=[f"{m.__name__}({q})" for m, q, _ in FROZEN_DERIVATIONS])
+def test_frozen_derivations(maker, q, digests):
+    s = maker(q)
+    n = s.point_count
+    for x, digest in zip((0, n // 2, n - 1), digests):
+        text = write_incidence(payne_derivation(s, x))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, x
+
+
+@pytest.mark.parametrize("q", [3, 4])
+def test_payne_computes_one_span_per_line_through_the_centre(q):
+    # q^3 points lie off x^perp and each span through x holds q of them
+    s = symplectic_gq(q)
+    with mock.patch.object(geometry, "span_pair", wraps=geometry.span_pair) as spy:
+        payne_derivation(s, 0)
+    assert spy.call_count == q * q
 
 
 def test_payne_rejects_non_regular_point():
@@ -176,6 +234,14 @@ def test_payne_and_regularity_reject_points_out_of_range():
 def test_payne_rejects_unequal_orders(gq42):
     with pytest.raises(ValueError):
         payne_derivation(gq42, 0)
+
+
+def test_payne_rejects_order_one():
+    # the 2x2 grid, a GQ(1,1): its derivation would be no quadrangle
+    grid = IncidenceStructure(4, [[0, 1], [2, 3], [0, 2], [1, 3]])
+    assert verify_gq(grid) == GQParams(1, 1)
+    with pytest.raises(ValueError, match=r"q > 1, got \(1, 1\)"):
+        payne_derivation(grid, 0)
 
 
 def test_payne_points_avoid_the_perp(w2):

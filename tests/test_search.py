@@ -112,6 +112,8 @@ def test_candidate_validation():
     # not an int: the search would fail on << instead
     with pytest.raises(ValueError, match="candidate 1 covers 1.5"):
         ExactCoverInstance(3, (frozenset({0}), frozenset({1.5})))
+    with pytest.raises(ValueError, match="candidate 1 covers True, not an int"):
+        ExactCoverInstance(3, (frozenset({0}), frozenset({True})))
 
 
 @pytest.mark.parametrize("fields", [

@@ -51,6 +51,33 @@ def test_design_requires_uniform_block_size():
         Design(5, [[0, 1, 2], [3, 4]])
 
 
+@pytest.mark.parametrize("blocks,message", [
+    ([[0, 1, 2], [3, 4]], "block 1 has size 2, expected 3"),
+    ([[0, 1], [2, 3], [1, 4], []], "block 3 is empty"),
+    ([[0, 1], [0, 5]], "block 1 references a point outside 0..4"),
+    ([[0, 0]], "block 0 repeats a point"),
+    ([[0, 1.0]], "block 0 has point 1.0, not an int"),
+    ([[0, 2], [1, False]], "block 1 has point False, not an int"),
+])
+def test_design_messages_name_the_block(blocks, message):
+    with pytest.raises(ValueError) as exc:
+        Design(5, blocks)
+    assert str(exc.value) == message
+
+
+def test_incidence_structure_refuses_bool_points():
+    # a bool would be written as the word True and fail to parse back
+    with pytest.raises(ValueError) as exc:
+        IncidenceStructure(3, [[True, 2], [0, 2]])
+    assert str(exc.value) == "line 0 has point True, not an int"
+
+
+def test_lrs_refuses_bool_instances():
+    with pytest.raises(ValueError) as exc:
+        LocalResolutionSystem([[[0], [True]]])
+    assert str(exc.value) == "point 0, class 1 has instance True, not an int"
+
+
 def test_lrs_canonical_order_and_equality():
     a = LocalResolutionSystem([[[1, 0], [2]], [[0], [1, 2]]])
     b = LocalResolutionSystem([[[2], [0, 1]], [[0], [2, 1]]])
@@ -159,6 +186,13 @@ def test_every_w2_ovoid_meets_every_line_once(w2, w2_ovoids):
     for o in w2_ovoids:
         verify_ovoid(w2, o)
         assert len(o) == 1 + 2 * 2
+
+
+def test_ovoid_refuses_bool_points(w2, w2_ovoids):
+    pts = sorted(w2_ovoids[0])
+    assert pts[0] == 0
+    with pytest.raises(OvoidError, match="ovoid point False is not an int"):
+        verify_ovoid(w2, [False] + pts[1:])
 
 
 def test_full_and_empty_point_sets_are_not_ovoids(w2):

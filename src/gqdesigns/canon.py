@@ -31,7 +31,7 @@ from dataclasses import dataclass, field, fields
 from typing import Iterable, Optional
 
 from .search import Budget, _Meter, _Stop
-from .structures import Design, IncidenceStructure
+from .structures import Design, IncidenceStructure, _is_int
 
 
 @dataclass(frozen=True)
@@ -84,6 +84,8 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]],
                 colors: Iterable[tuple[int, int]]) -> ColoredGraph:
     adj = [set() for _ in range(n)]
     for u, w in edges:
+        if not (_is_int(u) and _is_int(w)):
+            raise ValueError(f"edge ({u!r}, {w!r}) has a vertex that is not an int")
         if u == w:
             raise ValueError("loops are not supported")
         if not (0 <= u < n and 0 <= w < n):
@@ -101,6 +103,9 @@ def incidence_graph(s: IncidenceStructure,
     """Bipartite point/line graph; an ovoid, if given, marks its points."""
     marked = frozenset(ovoid) if ovoid is not None else frozenset()
     v = s.point_count
+    for p in marked:
+        if not _is_int(p):
+            raise ValueError(f"marked point {p!r} is not an int")
     for p in sorted(marked):
         if not 0 <= p < v:
             raise ValueError(f"marked point {p} outside 0..{v - 1}")

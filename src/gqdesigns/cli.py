@@ -110,7 +110,7 @@ def _seconds(text: str) -> float:
 
 def _budget(args) -> Budget | None:
     from .search import Budget
-    if getattr(args, "budget", None) is None:
+    if args.budget is None:
         return None
     return Budget(max_seconds=args.budget)
 
@@ -139,8 +139,6 @@ def cmd_construct(args, rep: Report) -> int:
             raise UsageError("--lambda only applies to --family sprott")
         if args.with_lrs:
             raise UsageError("--with-lrs only applies to --family sprott")
-    if args.out is None:
-        raise UsageError("construct requires --out")
     if args.lrs_out is not None and not args.with_lrs:
         raise UsageError("--lrs-out only applies with --with-lrs")
     try:
@@ -165,13 +163,14 @@ def cmd_construct(args, rep: Report) -> int:
 
     # sprott
     if args.with_lrs:
-        if field.p != 2 or field.a < 2:
-            raise UsageError("--with-lrs needs q a power of 2, q >= 4")
         if args.lam is not None and args.lam != q + 2:
             raise UsageError(f"--with-lrs fixes --lambda at q + 2 = {q + 2}")
         if args.lrs_out is None:
             raise UsageError("--with-lrs requires --lrs-out")
-        d, system = sprott_lrs(q)
+        try:
+            d, system = sprott_lrs(q)
+        except ValueError as exc:
+            raise UsageError(f"--with-lrs: {exc}") from exc
         _report_design(d, rep)
         verify_lrs(d, system)
         witness = verify_non_triangular(d, system)
@@ -369,8 +368,6 @@ def cmd_replicated(args, rep: Report) -> int:
 
 def cmd_dual(args, rep: Report) -> int:
     s = _load(args.incidence, parse_incidence, rep)
-    if args.out is None:
-        raise UsageError("dual requires --out")
     t = dual(s)
     rep.add("points", t.point_count)
     rep.add("lines", len(t.lines))
@@ -381,8 +378,6 @@ def cmd_dual(args, rep: Report) -> int:
 def cmd_payne(args, rep: Report) -> int:
     from .geometry import payne_derivation
     s = _load(args.incidence, parse_incidence, rep)
-    if args.out is None:
-        raise UsageError("payne requires --out")
     rep.add("point", args.point)
     t = payne_derivation(s, args.point)
     _report_gq(t, rep)
@@ -392,21 +387,23 @@ def cmd_payne(args, rep: Report) -> int:
 
 # --- canonical forms -----------------------------------------------------
 
-def _graph_for(path: str, rep: Report, ovoid_path: str | None):
-    from .canon import design_graph, incidence_graph
+def _read_structure(path: str, rep: Report):
+    """The kind named by a file's header ("inc" or "design") and its parse."""
     text = _read_input(path, rep)
-    head = _sniff(path, text)
-    if head == "inc":
-        s = parse_incidence(text, path)
-        ovoid = None
-        if ovoid_path is not None:
-            ovoid = _load(ovoid_path, parse_ovoid, rep)
-        return "inc", incidence_graph(s, ovoid)
-    if head == "design":
-        if ovoid_path is not None:
-            raise UsageError("ovoid colouring applies to incidence files only")
-        return "design", design_graph(parse_design(text, path))
-    raise FormatError(path, 1, 1, f"unrecognised header {head!r}")
+    kind = _sniff(path, text)
+    parsers = {"inc": parse_incidence, "design": parse_design}
+    if kind not in parsers:
+        raise FormatError(path, 1, 1, f"unrecognised header {kind!r}")
+    return kind, parsers[kind](text, path)
+
+
+def _read_marks(kind: str, path: str | None, rep: Report):
+    """The ovoid that colours an incidence structure, or None without one."""
+    if path is None:
+        return None
+    if kind != "inc":
+        raise UsageError("ovoid colouring applies to incidence files only")
+    return _load(path, parse_ovoid, rep)
 
 
 def _canon_counts(stats: CanonStats, rep: Report) -> None:
@@ -422,8 +419,12 @@ def _canon_cut(stats: CanonStats, rep: Report) -> int:
 
 
 def cmd_canon(args, rep: Report) -> int:
-    from .canon import BudgetExceeded, canonical_form
-    kind, graph = _graph_for(args.file, rep, args.ovoid)
+    from .canon import BudgetExceeded, canonical_form, design_graph, \
+        incidence_graph
+    kind, structure = _read_structure(args.file, rep)
+    ovoid = _read_marks(kind, args.ovoid, rep)
+    graph = (incidence_graph(structure, ovoid) if kind == "inc"
+             else design_graph(structure))
     rep.add("kind", kind)
     try:
         form = canonical_form(graph, _budget(args))
@@ -439,27 +440,16 @@ def cmd_iso(args, rep: Report) -> int:
         gq_isomorphic
     if (args.ovoid_a is None) != (args.ovoid_b is None):
         raise UsageError("give --ovoid-a and --ovoid-b together or not at all")
-    text_a = _read_input(args.first, rep)
-    text_b = _read_input(args.second, rep)
-    kind_a = _sniff(args.first, text_a)
-    kind_b = _sniff(args.second, text_b)
-    if kind_a != kind_b:
-        raise UsageError(f"cannot compare a {kind_a!r} file with a {kind_b!r} file")
-    if kind_a == "inc":
-        a = parse_incidence(text_a, args.first)
-        b = parse_incidence(text_b, args.second)
-        ov_a = ov_b = None
-        if args.ovoid_a is not None:
-            ov_a = _load(args.ovoid_a, parse_ovoid, rep)
-            ov_b = _load(args.ovoid_b, parse_ovoid, rep)
+    kind, a = _read_structure(args.first, rep)
+    kind_b, b = _read_structure(args.second, rep)
+    if kind != kind_b:
+        raise UsageError(f"cannot compare a {kind!r} file with a {kind_b!r} file")
+    ov_a = _read_marks(kind, args.ovoid_a, rep)
+    ov_b = _read_marks(kind, args.ovoid_b, rep)
+    if kind == "inc":
         decide, pair = gq_isomorphic, (a, b, ov_a, ov_b)
-    elif kind_a == "design":
-        if args.ovoid_a is not None:
-            raise UsageError("ovoid colouring applies to incidence files only")
-        decide, pair = designs_isomorphic, (parse_design(text_a, args.first),
-                                            parse_design(text_b, args.second))
     else:
-        raise FormatError(args.first, 1, 1, f"unrecognised header {kind_a!r}")
+        decide, pair = designs_isomorphic, (a, b)
     stats = CanonStats()
     try:
         ok, mapping = decide(*pair, budget=_budget(args), stats=stats)
@@ -484,9 +474,11 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--report", metavar="PATH",
                         help="also write the key/value report to this file")
-    common.add_argument("--budget", type=_seconds, metavar="SEC",
-                        help="wall-clock budget for searches and canonical "
-                             "forms, in seconds")
+    # only the subcommands whose work a budget can cut take --budget
+    bounded = argparse.ArgumentParser(add_help=False, parents=[common])
+    bounded.add_argument("--budget", type=_seconds, metavar="SEC",
+                         help="wall-clock budget for searches and canonical "
+                              "forms, in seconds")
 
     top = argparse.ArgumentParser(
         prog="gqd",
@@ -506,7 +498,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--with-lrs", action="store_true",
                    help="also emit the explicit local resolution system "
                         "(sprott, q a power of 2)")
-    p.add_argument("--out", metavar="PATH")
+    p.add_argument("--out", required=True, metavar="PATH")
     p.add_argument("--lrs-out", metavar="PATH")
     p.set_defaults(func=cmd_construct)
 
@@ -516,7 +508,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("files", nargs="+", metavar="FILE")
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("ovoids", parents=[common],
+    p = sub.add_parser("ovoids", parents=[bounded],
                        help="search a quadrangle for ovoids")
     p.add_argument("incidence", metavar="INC")
     p.add_argument("--limit", type=_count, default=0,
@@ -525,7 +517,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="write each ovoid to PREFIX<i>.ovoid")
     p.set_defaults(func=cmd_ovoids)
 
-    p = sub.add_parser("ntlrs", parents=[common],
+    p = sub.add_parser("ntlrs", parents=[bounded],
                        help="search a design for non-triangular local "
                             "resolution systems")
     p.add_argument("design", metavar="DESIGN")
@@ -579,24 +571,24 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("dual", parents=[common],
                        help="swap the roles of points and lines")
     p.add_argument("incidence", metavar="INC")
-    p.add_argument("--out", metavar="PATH")
+    p.add_argument("--out", required=True, metavar="PATH")
     p.set_defaults(func=cmd_dual)
 
     p = sub.add_parser("payne", parents=[common],
                        help="derive the quadrangle about a regular point")
     p.add_argument("incidence", metavar="INC")
     p.add_argument("--point", type=int, required=True, metavar="IDX")
-    p.add_argument("--out", metavar="PATH")
+    p.add_argument("--out", required=True, metavar="PATH")
     p.set_defaults(func=cmd_payne)
 
-    p = sub.add_parser("canon", parents=[common],
+    p = sub.add_parser("canon", parents=[bounded],
                        help="canonical certificate digest of a structure")
     p.add_argument("file", metavar="FILE")
     p.add_argument("--ovoid", metavar="PATH",
                    help="colour these points as a distinguished set")
     p.set_defaults(func=cmd_canon)
 
-    p = sub.add_parser("iso", parents=[common],
+    p = sub.add_parser("iso", parents=[bounded],
                        help="decide isomorphism of two structures")
     p.add_argument("first", metavar="FILE")
     p.add_argument("second", metavar="FILE")

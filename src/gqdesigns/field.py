@@ -142,63 +142,30 @@ class Field:
         return self.exp[(self.log[u] * n) % (self.q - 1)]
 
 
-def _poly_mul_mod(u: list[int], v: list[int], modulus: tuple[int, ...], p: int) -> list[int]:
-    """Multiply coefficient vectors mod a monic modulus, all over GF(p)."""
-    a = len(modulus) - 1
-    out = [0] * (len(u) + len(v) - 1)
-    for i, ci in enumerate(u):
-        if ci:
-            for j, cj in enumerate(v):
-                out[i + j] = (out[i + j] + ci * cj) % p
-    for d in range(len(out) - 1, a - 1, -1):
-        c = out[d]
-        if c:
-            out[d] = 0
-            for i in range(a):
-                out[d - a + i] = (out[d - a + i] - c * modulus[i]) % p
-    del out[a:]
-    while len(out) < a:
-        out.append(0)
-    return out
-
-
-def _encode(coeffs: list[int], p: int) -> int:
-    w = 0
-    for c in reversed(coeffs):
-        w = w * p + c
-    return w
-
-
 def _try_modulus(p: int, a: int, low: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
-    """Build exp/log tables for modulus t^a + low, or None if t is not primitive."""
+    """Build exp/log tables for modulus t^a + low, or None if t is not primitive.
+
+    t^(e+1) is t^e with every coefficient moved up one place; the one, c,
+    moved past t^(a-1) stands for c * t^a, which is -c * low modulo
+    t^a + low.  For a == 1 the step multiplies by -low[0], so GF(p) takes
+    the same loop.
+    """
     q = p ** a
-    modulus = low + (1,)
-    if a == 1:
-        x = -low[0] % p
-    else:
-        x = p  # the class of t
     exp = [1] * (q - 1)
     log = [0] * q
-    cur = [0] * a
-    cur[0] = 1
-    xv = [0] * a
-    if a == 1:
-        xv[0] = x
-    else:
-        xv[1] = 1
-    seen = {1}
-    for e in range(1, q - 1):
-        cur = _poly_mul_mod(cur, xv, modulus, p)
-        w = _encode(cur, p)
-        if w in seen or w == 0:
+    cur = [1] + [0] * (a - 1)  # coefficients of t^e, constant term first
+    for e in range(1, q):
+        top = cur[-1]
+        cur = [(c - top * m) % p for c, m in zip([0] + cur[:-1], low)]
+        w = 0
+        for c in reversed(cur):
+            w = w * p + c
+        if e == q - 1:
+            return (tuple(exp), tuple(log)) if w == 1 else None
+        if w <= 1 or log[w]:
             return None  # order of t divides e < q-1, or modulus not coprime
-        seen.add(w)
         exp[e] = w
         log[w] = e
-    cur = _poly_mul_mod(cur, xv, modulus, p)
-    if _encode(cur, p) != 1:
-        return None
-    return tuple(exp), tuple(log)
 
 
 @lru_cache(maxsize=None)

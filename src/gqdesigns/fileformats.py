@@ -8,7 +8,8 @@ comments, so writing a parsed file reproduces it byte for byte.
 
 from __future__ import annotations
 
-from .structures import Design, IncidenceStructure, LocalResolutionSystem
+from .structures import Design, IncidenceStructure, LocalResolutionSystem, \
+    _is_int
 
 
 class FormatError(ValueError):
@@ -179,7 +180,13 @@ def write_design(d: Design) -> str:
 
 
 def write_ovoid(ovoid) -> str:
-    pts = sorted(ovoid)
+    pts = list(ovoid)
+    for p in pts:
+        if not _is_int(p) or p < 0:
+            raise ValueError(f"ovoid point {p!r} is not an int >= 0")
+    pts.sort()
+    if len(set(pts)) != len(pts):
+        raise ValueError("ovoid points repeat")
     return f"ovoid {len(pts)}\n" + " ".join(str(p) for p in pts) + "\n"
 
 

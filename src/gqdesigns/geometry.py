@@ -21,7 +21,7 @@ from __future__ import annotations
 from itertools import product
 
 from .field import Field, field_of_order, field_tables, make_field
-from .structures import IncidenceStructure, _bits, verify_gq
+from .structures import IncidenceStructure, _bits, _is_int, verify_gq
 
 
 def _projective_points(q: int, ncoords: int) -> list[tuple[int, ...]]:
@@ -111,6 +111,8 @@ def hermitian_gq(q: int) -> IncidenceStructure:
 
 
 def _check_point(s: IncidenceStructure, x: int) -> None:
+    if type(x) is not int and not _is_int(x):  # skip the call for an int
+        raise ValueError(f"point {x!r} is not an int")
     if not 0 <= x < s.point_count:
         raise ValueError(f"point {x} out of range")
 

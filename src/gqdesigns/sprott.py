@@ -98,7 +98,6 @@ def sprott_lrs(q: int) -> tuple[Design, LocalResolutionSystem]:
     fam, design = sprott_design(2, 2 * (q.bit_length() - 1), q + 2)
     f = fam.field
     qq = f.q  # q^2 points
-    m = fam.m  # equals q - 1
 
     special = tuple(sorted([0, 1] + [f.add(f.exp[(j * (q - 1)) % (qq - 1)], 1)
                                      for j in range(1, q + 1)]))

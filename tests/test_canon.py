@@ -234,6 +234,21 @@ def test_edges_must_join_vertices_of_the_graph(edge):
         build_graph(3, [(0, 1), edge], [0] * 3)
 
 
+@pytest.mark.parametrize("edge", [(True, 2), (0, 2.0), ("0", 1)])
+def test_edge_ends_must_be_ints(edge):
+    with pytest.raises(ValueError, match="not an int"):
+        build_graph(3, [(0, 1), edge], [0] * 3)
+
+
+def test_marked_points_must_be_ints(w2):
+    # a non-int point would otherwise mark nothing, or True would mark point 1
+    for bad in ([1.5], [True], [0, "2"]):
+        with pytest.raises(ValueError, match="is not an int"):
+            incidence_graph(w2, bad)
+        with pytest.raises(ValueError, match="is not an int"):
+            gq_isomorphic(w2, w2, bad, [0])
+
+
 def test_marked_points_must_lie_in_the_structure(w2):
     for bad, name in (({99}, "99"), ({0, 99}, "99"), ({-1, 3}, "-1")):
         with pytest.raises(ValueError, match=f"marked point {name} outside"):

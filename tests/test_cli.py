@@ -393,6 +393,70 @@ def test_unwritable_report_path_is_a_usage_error(w2_file, tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+def test_budget_is_refused_where_nothing_is_searched(import_inputs, tmp_path):
+    # only ovoids, ntlrs, canon and iso run work a budget can cut
+    for name in ("w2.inc", "ov0.ovoid", "w2.design", "w2.lrs"):
+        (tmp_path / name).write_text((import_inputs / name).read_text())
+    before = sorted(tmp_path.iterdir())
+    cases = [
+        ("construct", "--family", "W", "--q", "2", "--out", "o.inc"),
+        ("verify", "gq", "w2.inc"),
+        ("map-n", "w2.inc", "ov0.ovoid", "--design-out", "o.design"),
+        ("map-m", "w2.design", "w2.lrs", "--inc-out", "o.inc"),
+        ("roundtrip", "gq", "w2.inc", "ov0.ovoid"),
+        ("prop32", "w2.inc", "ov0.ovoid"),
+        ("replicated", "w2.design", "--out", "o.design"),
+        ("dual", "w2.inc", "--out", "o.inc"),
+        ("payne", "w2.inc", "--point", "0", "--out", "o.inc"),
+    ]
+    for args in cases:
+        proc = run(*args, "--budget", "1", cwd=tmp_path)
+        assert proc.returncode == 2, args
+        assert "unrecognized arguments: --budget 1" in proc.stderr, args
+        assert proc.stdout == "", args
+        assert sorted(tmp_path.iterdir()) == before, args
+        # and without it the same arguments run
+        assert run(*args, cwd=tmp_path).returncode in (0, 1), args
+        for path in set(tmp_path.iterdir()) - set(before):
+            path.unlink()
+
+
+def test_missing_outputs_and_orders_without_a_system(w2_file, tmp_path):
+    cases = [
+        ("dual", "w2.inc"),
+        ("payne", "w2.inc", "--point", "0"),
+        ("construct", "--family", "sprott", "--q", "9", "--with-lrs",
+         "--out", "x", "--lrs-out", "y"),
+        ("construct", "--family", "sprott", "--q", "2", "--with-lrs",
+         "--out", "x", "--lrs-out", "y"),
+    ]
+    for args in cases:
+        proc = run(*args, cwd=tmp_path)
+        assert proc.returncode == 2, args
+        assert proc.stdout == "", args
+        assert proc.stderr, args
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["w2.inc"], args
+
+
+def test_ovoid_colouring_needs_incidence_files(w2_file, tmp_path):
+    run("construct", "--family", "AG", "--q", "3", "--out", "ag3.design",
+        cwd=tmp_path)
+    run("ovoids", "w2.inc", "--limit", "1", "--out", "ov", cwd=tmp_path)
+    cases = [
+        (("canon", "ag3.design", "--ovoid", "ov0.ovoid"), "incidence files"),
+        (("iso", "ag3.design", "ag3.design", "--ovoid-a", "ov0.ovoid",
+          "--ovoid-b", "ov0.ovoid"), "incidence files"),
+        (("iso", "w2.inc", "ag3.design"), "cannot compare"),
+        (("iso", "ag3.design", "w2.inc"), "cannot compare"),
+        (("canon", "ov0.ovoid"), "unrecognised header 'ovoid'"),
+    ]
+    for args, message in cases:
+        proc = run(*args, cwd=tmp_path)
+        assert proc.returncode == 2, args
+        assert proc.stdout == "", args
+        assert message in proc.stderr, args
+
+
 def test_threads_and_seed_are_rejected(w2_file, tmp_path):
     # both options were removed: no search read the seed, and every search
     # ran on one thread whatever --threads said

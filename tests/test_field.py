@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from gqdesigns import field
 from gqdesigns.field import Field, factor_prime_power, field_tables, is_prime, \
     make_field
 
@@ -164,3 +165,84 @@ def test_tables_agree_with_checked_operations(p, a):
         for v in f.elements():
             assert add[u][v] == f.add(u, v)
             assert mul[u][v] == f.mul(u, v)
+
+
+# ---------------------------------------------------------
+# The table builder against its first version
+# ---------------------------------------------------------
+
+def _reference_poly_mul_mod(u, v, modulus, p):
+    """Multiply coefficient vectors mod a monic modulus, all over GF(p)."""
+    a = len(modulus) - 1
+    out = [0] * (len(u) + len(v) - 1)
+    for i, ci in enumerate(u):
+        if ci:
+            for j, cj in enumerate(v):
+                out[i + j] = (out[i + j] + ci * cj) % p
+    for d in range(len(out) - 1, a - 1, -1):
+        c = out[d]
+        if c:
+            out[d] = 0
+            for i in range(a):
+                out[d - a + i] = (out[d - a + i] - c * modulus[i]) % p
+    del out[a:]
+    while len(out) < a:
+        out.append(0)
+    return out
+
+
+def _reference_encode(coeffs, p):
+    w = 0
+    for c in reversed(coeffs):
+        w = w * p + c
+    return w
+
+
+def _reference_try_modulus(p, a, low):
+    """Full polynomial products, with GF(p) (a == 1) as its own case."""
+    q = p ** a
+    modulus = low + (1,)
+    if a == 1:
+        x = -low[0] % p
+    else:
+        x = p  # the class of t
+    exp = [1] * (q - 1)
+    log = [0] * q
+    cur = [0] * a
+    cur[0] = 1
+    xv = [0] * a
+    if a == 1:
+        xv[0] = x
+    else:
+        xv[1] = 1
+    seen = {1}
+    for e in range(1, q - 1):
+        cur = _reference_poly_mul_mod(cur, xv, modulus, p)
+        w = _reference_encode(cur, p)
+        if w in seen or w == 0:
+            return None
+        seen.add(w)
+        exp[e] = w
+        log[w] = e
+    cur = _reference_poly_mul_mod(cur, xv, modulus, p)
+    if _reference_encode(cur, p) != 1:
+        return None
+    return tuple(exp), tuple(log)
+
+
+def test_tables_match_the_polynomial_product_builder():
+    # every modulus make_field tries, up to the one it accepts, gives the
+    # same rejection or the same exp and log tables
+    for q in range(2, 1025):
+        pa = factor_prime_power(q)
+        if pa is None:
+            continue
+        p, a = pa
+        for m in range(q):
+            low = tuple(m // p ** i % p for i in range(a))
+            got = field._try_modulus(p, a, low)
+            assert got == _reference_try_modulus(p, a, low), (p, a, low)
+            if got is not None:
+                assert make_field(p, a).modulus == low + (1,)
+                assert (make_field(p, a).exp, make_field(p, a).log) == got
+                break

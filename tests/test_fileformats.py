@@ -46,6 +46,15 @@ def test_ovoid_round_trip(w2_ovoids):
         assert write_ovoid(parse_ovoid(text)) == text
 
 
+def test_write_ovoid_refuses_what_parse_ovoid_refuses(w2_ovoids):
+    for bad in ([True, 2], [2, 2], [-1], [1.5], ["3"]):
+        with pytest.raises(ValueError):
+            write_ovoid(bad)
+    for o in w2_ovoids:
+        assert parse_ovoid(write_ovoid(o)) == o
+        assert parse_ovoid(write_ovoid(iter(sorted(o)))) == o
+
+
 def test_writers_emit_sorted_indices():
     s = IncidenceStructure(4, [[3, 1], [2, 0]])
     assert write_incidence(s) == "inc 4 2\n1 3\n0 2\n"

@@ -231,6 +231,18 @@ def test_payne_and_regularity_reject_points_out_of_range():
                 fn(s, x, 0)
 
 
+def test_points_must_be_ints():
+    # True would otherwise stand for point 1, and 1.0 fail inside a bit shift
+    s = symplectic_gq(2)
+    for x in (True, False, 1.0, "1"):
+        for fn in (payne_derivation, is_regular_point, perp):
+            with pytest.raises(ValueError, match="is not an int"):
+                fn(s, x)
+        for fn in (trace_pair, span_pair, is_regular_pair):
+            with pytest.raises(ValueError, match="is not an int"):
+                fn(s, 3, x)
+
+
 def test_payne_rejects_unequal_orders(gq42):
     with pytest.raises(ValueError):
         payne_derivation(gq42, 0)

@@ -8,9 +8,9 @@ leaf are cut.  Automorphisms prune the rest, as in McKay & Piperno,
 "Practical graph isomorphism, II" (J. Symb. Comput. 60, 2014):
 
 * a leaf equal to the first leaf or to the best leaf gives an automorphism;
-* each node merges the automorphisms that fix its path pointwise into its
-  child orbits as soon as they are found, and skips every child in the orbit
-  of one already searched;
+* each node skips every child covered by the orbits of those it searched
+  under the automorphisms that fix its path pointwise, and closes that set
+  again under each such automorphism as soon as it is found;
 * after a new automorphism the search jumps back to the node where the
   current path leaves the path of the matched leaf, because the subtree
   below is the image of one already searched.
@@ -203,23 +203,15 @@ def _leaf(adj, cells):
     return rows, tuple(order)
 
 
-class _Find:
-    __slots__ = ("parent",)
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, x: int) -> int:
-        p = self.parent
-        while p[x] != x:
-            p[x] = p[p[x]]
-            x = p[x]
-        return x
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[ra] = rb
+def _close(covered: set[int], stack: list[int], gens) -> None:
+    """Add to covered every image of the stacked points under gens, repeatedly."""
+    while stack:
+        x = stack.pop()
+        for gen in gens:
+            y = gen[x]
+            if y not in covered:
+                covered.add(y)
+                stack.append(y)
 
 
 def canonical_form(g: ColoredGraph,
@@ -298,34 +290,26 @@ def canonical_form(g: ColoredGraph,
             while path[k] == other[k]:
                 k += 1
             return k
-        uf = _Find(n)
+        # covered: the orbits of the searched children under the generators
+        # that fix the path, which map the target cell onto itself
+        fixing: list[list[int]] = []
         merged = 0
-        searched: list[int] = []
-        roots: set[int] = set()
-        for v in cells[target]:
+        covered: set[int] = set()
+        cell = cells[target]
+        for v in cell:
             if merged < len(gens):
-                for gen in gens[merged:]:
-                    if all(gen[x] == x for x in path):
-                        for u in range(n):
-                            uf.union(u, gen[u])
+                new = [gen for gen in gens[merged:] if all(gen[x] == x for x in path)]
                 merged = len(gens)
-                roots = {uf.find(u) for u in searched}
-            root = uf.find(v)
-            if root in roots:
+                if new:
+                    fixing += new
+                    _close(covered, list(covered), fixing)
+            if v in covered:
                 stats.orbit_prunes += 1
                 continue
-            roots.add(root)
-            searched.append(v)
-            child = []
-            fresh = None
-            for cell in cells:
-                if len(cell) > 1 and v in cell:
-                    rest = [x for x in cell if x != v]
-                    child.append([v])
-                    child.append(rest)
-                    fresh = [child[-2], child[-1]]
-                else:
-                    child.append(cell)
+            covered.add(v)
+            _close(covered, [v], fixing)
+            fresh = [[v], [x for x in cell if x != v]]
+            child = cells[:target] + fresh + cells[target + 1:]
             child_trace = list(trace)
             child_trace.append(-2)
             child_trace.append(target)
@@ -386,6 +370,20 @@ def are_isomorphic(a: ColoredGraph, b: ColoredGraph,
     return True, mapping
 
 
+def _point_map(g1: ColoredGraph, g2: ColoredGraph, s1: IncidenceStructure,
+               s2: IncidenceStructure, noun: str, budget, stats):
+    """are_isomorphic on the graphs, restricted to points and checked to
+    carry the lines (or blocks, as noun says) of s1 onto those of s2."""
+    ok, mapping = are_isomorphic(g1, g2, budget, stats)
+    if not ok:
+        return False, None
+    point_map = {p: mapping[p] for p in range(s1.point_count)}
+    mapped = sorted(tuple(sorted(point_map[p] for p in line)) for line in s1.lines)
+    if mapped != sorted(s2.lines):
+        raise RuntimeError(f"point bijection does not carry {noun} onto {noun}")
+    return True, point_map
+
+
 def gq_isomorphic(s1: IncidenceStructure, s2: IncidenceStructure,
                   ovoid1: Optional[Iterable[int]] = None,
                   ovoid2: Optional[Iterable[int]] = None,
@@ -399,16 +397,8 @@ def gq_isomorphic(s1: IncidenceStructure, s2: IncidenceStructure,
     """
     if (ovoid1 is None) != (ovoid2 is None):
         raise ValueError("supply ovoids for both structures or neither")
-    g1 = incidence_graph(s1, ovoid1)
-    g2 = incidence_graph(s2, ovoid2)
-    ok, mapping = are_isomorphic(g1, g2, budget, stats)
-    if not ok:
-        return False, None
-    point_map = {p: mapping[p] for p in range(s1.point_count)}
-    mapped = sorted(tuple(sorted(point_map[p] for p in line)) for line in s1.lines)
-    if mapped != sorted(s2.lines):
-        raise RuntimeError("point bijection does not carry lines onto lines")
-    return True, point_map
+    return _point_map(incidence_graph(s1, ovoid1), incidence_graph(s2, ovoid2),
+                      s1, s2, "lines", budget, stats)
 
 
 def designs_isomorphic(d1: Design, d2: Design,
@@ -420,12 +410,5 @@ def designs_isomorphic(d1: Design, d2: Design,
     against the target, so instances of repeated blocks match in number.
     budget and stats are as for are_isomorphic.
     """
-    ok, mapping = are_isomorphic(design_graph(d1), design_graph(d2),
-                                 budget, stats)
-    if not ok:
-        return False, None
-    point_map = {p: mapping[p] for p in range(d1.point_count)}
-    mapped = sorted(tuple(sorted(point_map[p] for p in blk)) for blk in d1.blocks)
-    if mapped != sorted(d2.blocks):
-        raise RuntimeError("point bijection does not carry blocks onto blocks")
-    return True, point_map
+    return _point_map(design_graph(d1), design_graph(d2), d1, d2, "blocks",
+                      budget, stats)

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from functools import lru_cache
 
+from .structures import _is_int
+
 MAX_ORDER = 1 << 16
 
 
@@ -168,7 +170,7 @@ def _try_modulus(p: int, a: int, low: tuple[int, ...]) -> tuple[tuple[int, ...],
         log[w] = e
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # typed, so True never finds the entry of 1
 def make_field(p: int, a: int) -> Field:
     """Construct GF(p**a) over the canonical primitive modulus.
 
@@ -177,6 +179,8 @@ def make_field(p: int, a: int) -> Field:
     Primitivity is certified directly while filling the exp table: the q-1
     powers of t must be pairwise distinct and return to 1.
     """
+    if not (_is_int(p) and _is_int(a)):
+        raise ValueError(f"characteristic and degree must be ints, got {p!r} and {a!r}")
     if not is_prime(p):
         raise ValueError(f"characteristic {p} is not prime")
     if a < 1:

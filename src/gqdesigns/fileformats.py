@@ -77,9 +77,11 @@ def _header(reader: _Reader, keyword: str, arity: int) -> list[int]:
     return vals
 
 
-def _parse_rows(text: str, path: str, keyword: str, noun: str) -> tuple[int, list[list[int]]]:
+def _parse_rows(text: str, path: str, keyword: str, noun: str,
+                same_size: bool = False) -> tuple[int, list[list[int]]]:
     """The header's point count and the rows it promises, each a list of
-    point indices; noun names one row in messages."""
+    distinct point indices, and all as long as the first if same_size; noun
+    names one row in messages."""
     reader = _Reader(text, path)
     points, nrows = _header(reader, keyword, 2)
     rows = []
@@ -89,6 +91,10 @@ def _parse_rows(text: str, path: str, keyword: str, noun: str) -> tuple[int, lis
         for p in pts:
             if not 0 <= p < points:
                 reader.fail(lineno, 1, f"point index {p} outside 0..{points - 1}")
+        if len(set(pts)) != len(pts):
+            reader.fail(lineno, 1, f"{noun} repeats a point")
+        if same_size and rows and len(pts) != len(rows[0]):
+            reader.fail(lineno, 1, f"{noun} has size {len(pts)}, expected {len(rows[0])}")
         rows.append(pts)
     if not reader.done():
         lineno, _ = reader.take("nothing")
@@ -105,7 +111,7 @@ def parse_incidence(text: str, path: str = "<incidence>") -> IncidenceStructure:
 
 
 def parse_design(text: str, path: str = "<design>") -> Design:
-    v, blocks = _parse_rows(text, path, "design", "block")
+    v, blocks = _parse_rows(text, path, "design", "block", same_size=True)
     try:
         return Design(v, blocks)
     except ValueError as exc:

@@ -84,8 +84,8 @@ class ExactCoverInstance:
     candidates: tuple[frozenset[int], ...]
 
     def __post_init__(self):
-        if self.universe < 0:
-            raise ValueError("universe size cannot be negative")
+        if not (_is_int(self.universe) and self.universe >= 0):
+            raise ValueError(f"universe size must be an int >= 0, got {self.universe!r}")
         for idx, cand in enumerate(self.candidates):
             for e in cand:
                 if not _is_int(e):

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .field import Field, field_of_order, make_field
-from .structures import Design, LocalResolutionSystem
+from .structures import Design, LocalResolutionSystem, _is_int
 
 
 @dataclass(frozen=True)
@@ -79,8 +79,8 @@ def affine_plane(q: int) -> Design:
 
 def replicate(d: Design, n: int) -> Design:
     """n consecutive instances of every block, in block order."""
-    if n < 1:
-        raise ValueError("replication count must be positive")
+    if not (_is_int(n) and n >= 1):
+        raise ValueError(f"replication count must be an int >= 1, got {n!r}")
     return Design(d.point_count, [b for b in d.blocks for _ in range(n)])
 
 

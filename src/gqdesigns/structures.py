@@ -102,6 +102,8 @@ class IncidenceStructure:
     _kind = "line"  # names one line in messages
 
     def __init__(self, point_count: int, lines: Iterable[Iterable[int]]):
+        if not _is_int(point_count):
+            raise ValueError(f"point count {point_count!r} is not an int")
         if point_count < 1:
             raise ValueError("need at least one point")
         out = []

@@ -138,6 +138,48 @@ def test_canonical_form_visits_few_leaves():
         assert stats.generators >= 1
 
 
+# digest and CanonStats (nodes, leaves, generators, orbit_prunes, jumps,
+# refines) as computed before the orbit bookkeeping changed; the ovoid is the
+# first that find_ovoids returns on W(2)
+FROZEN_FORMS = {
+    "W(2)": ("6c59613bf10ff484c73d8f9d1677121157fdd58a79ea56272b60f6ec63ec331b",
+             (28, 7, 6, 14, 15, 28)),
+    "W(3)": ("459ac40f4c45a6f3392f1c26f753b310fd61927b285092547338cd2249943ab4",
+             (45, 9, 8, 44, 28, 45)),
+    "Q(4,3)": ("5b81eba27d9c7717be4d2f3387fe3fa2aab50adef11c0687dea0b6697d231284",
+               (45, 9, 8, 44, 28, 45)),
+    "H(3,4)": ("8fdce666cec0a1f29075ae7bd31fc5c94cb5e0587b353e59c39fb40d2d6aff13",
+               (55, 10, 9, 31, 36, 55)),
+    "W(4)": ("f8b7fd47ef017f6c53c2223bff47d83c72b3c61dd990693fa04115e7736e6896",
+             (87, 12, 11, 127, 44, 87)),
+    "AG(2,4)": ("257fc949c4d39b3dcf1805a5879f942aab785a41f13a5683faaed2e338d6e6c8",
+                (37, 9, 7, 23, 20, 37)),
+    "GF(9), lambda 3": ("aaeed3abb25f7907b091cef524f856cc004f636642c011e8b33f16107fddd8d3",
+                        (21, 6, 5, 10, 10, 21)),
+    "W(2), one ovoid": ("c57fb0e1a902b5f8f4629af2777c1a0206c3a37945f4957cb64a50b06552da01",
+                        (21, 6, 5, 4, 10, 21)),
+}
+
+
+def test_frozen_forms_and_counters(w2, w2_ovoids):
+    assert sorted(w2_ovoids[0]) == [0, 1, 6, 10, 14]
+    graphs = {
+        "W(2)": incidence_graph(w2),
+        "W(3)": incidence_graph(symplectic_gq(3)),
+        "Q(4,3)": incidence_graph(parabolic_gq(3)),
+        "H(3,4)": incidence_graph(hermitian_gq(2)),
+        "W(4)": incidence_graph(symplectic_gq(4)),
+        "AG(2,4)": design_graph(affine_plane(4)),
+        "GF(9), lambda 3": design_graph(sprott_design(3, 2, 3)[1]),
+        "W(2), one ovoid": incidence_graph(w2, w2_ovoids[0]),
+    }
+    got = {}
+    for name, g in graphs.items():
+        form = canonical_form(g)
+        got[name] = (form.digest, dataclasses.astuple(form.stats))
+    assert got == FROZEN_FORMS
+
+
 def test_budget_cuts_canonical_form():
     with pytest.raises(BudgetExceeded) as cut:
         canonical_form(incidence_graph(symplectic_gq(3)), Budget(max_nodes=1))

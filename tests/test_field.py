@@ -1,10 +1,14 @@
 import random
+import subprocess
+import sys
 
 import pytest
 
 from gqdesigns import field
 from gqdesigns.field import Field, factor_prime_power, field_tables, is_prime, \
     make_field
+
+from conftest import child_env
 
 
 # ---------------------------------------------------------
@@ -37,6 +41,24 @@ def test_non_prime_characteristic_rejected():
         make_field(2, 0)
     with pytest.raises(ValueError):
         make_field(2, 17)  # 2^17 over the order bound
+
+
+@pytest.mark.parametrize("p,a", [(2, True), (True, 1), (2.0, 1), (2, 1.0)])
+def test_field_parameters_must_be_ints(p, a):
+    with pytest.raises(ValueError, match="must be ints"):
+        make_field(p, a)
+
+
+def test_bool_degree_leaves_the_cache_clean():
+    # GF(2) asked for with a = True was cached and handed to make_field(2, 1)
+    code = ("from gqdesigns.field import make_field\n"
+            "try:\n    make_field(2, True)\nexcept ValueError:\n    pass\n"
+            "f = make_field(2, 1)\n"
+            "print(type(f.a).__name__, f.a)\n")
+    proc = subprocess.run([sys.executable, "-c", code], env=child_env(),
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "int 1\n"
 
 
 def test_is_prime_and_factoring():

@@ -106,7 +106,7 @@ def test_incidence_errors():
     _expect_error(parse_incidence, "inc 3 1\n0 7\n", 2, "outside 0..2")
     _expect_error(parse_incidence, "inc 3 1\n0 x\n", 2, "expected an integer")
     _expect_error(parse_incidence, "inc 3\n0 1\n", 1, "takes 2 integers")
-    _expect_error(parse_incidence, "inc 3 1\n0 0\n", 1, "repeats")
+    _expect_error(parse_incidence, "inc 3 1\n0 0\n", 2, "repeats")
 
 
 def test_column_of_bad_token():
@@ -118,7 +118,16 @@ def test_column_of_bad_token():
 
 def test_design_errors():
     _expect_error(parse_design, "design 4 1\n0 9\n", 2, "outside")
-    _expect_error(parse_design, "design 4 2\n0 1\n0 1 2\n", 1, "expected 2")
+    _expect_error(parse_design, "design 4 2\n0 1\n0 1 2\n", 3, "expected 2")
+
+
+def test_row_errors_name_the_line_of_the_row():
+    # comments and blank lines move a row off its index, so the index is no line
+    _expect_error(parse_incidence, "inc 3 2\n0 1\n1 1\n", 3, "line repeats a point")
+    _expect_error(parse_incidence, "# c\ninc 4 2\n\n0 1\n2 3 2\n", 5, "repeats")
+    _expect_error(parse_design, "design 4 2\n0 1\n\n1 2 3\n", 4,
+                  "block has size 3, expected 2")
+    _expect_error(parse_design, "design 4 3\n0 1 2\n# c\n1 1 2\n", 4, "block repeats")
 
 
 def test_ovoid_errors():

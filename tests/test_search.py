@@ -116,6 +116,12 @@ def test_candidate_validation():
         ExactCoverInstance(3, (frozenset({0}), frozenset({True})))
 
 
+@pytest.mark.parametrize("universe", [1.5, True, None])
+def test_universe_must_be_an_int(universe):
+    with pytest.raises(ValueError, match="universe size must be an int"):
+        ExactCoverInstance(universe, ())
+
+
 @pytest.mark.parametrize("fields", [
     {"max_seconds": float("nan")},  # would never cut
     {"max_seconds": float("inf")},

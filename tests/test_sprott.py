@@ -106,6 +106,13 @@ def test_replicate_multiplies_counts():
         replicate(affine_plane(3), 0)
 
 
+@pytest.mark.parametrize("count", [True, 2.0, -1])
+def test_replication_count_must_be_an_int(count):
+    # True was taken for one copy
+    with pytest.raises(ValueError, match="replication count must be an int >= 1"):
+        replicate(affine_plane(3), count)
+
+
 def test_replicated_blocks_are_adjacent_copies():
     base = affine_plane(3)
     d = replicate(base, 3)

@@ -46,6 +46,14 @@ def test_lines_are_sorted_and_validated():
         IncidenceStructure(4, [[1, 1]])
 
 
+@pytest.mark.parametrize("count", [2.5, True, "4"])
+def test_point_count_must_be_an_int(count):
+    # 2.5 was accepted, and its neighbor_masks then raised TypeError
+    for cls in (IncidenceStructure, Design):
+        with pytest.raises(ValueError, match="point count .* is not an int"):
+            cls(count, [[0, 1]])
+
+
 def test_design_requires_uniform_block_size():
     with pytest.raises(ValueError):
         Design(5, [[0, 1, 2], [3, 4]])

@@ -18,6 +18,13 @@ leaf are cut.  Automorphisms prune the rest, as in McKay & Piperno,
 None of these cuts a leaf better than the kept best, so the canonical form
 does not depend on them.
 
+An ordered partition is held as a map from each cell's start, the offset of
+its first vertex in the vertex order, to the cell, as nauty's lab/ptn arrays
+name cells.  A split leaves every other cell where it was, so nothing is
+renumbered, and a child node copies one map.  Traces name cells by start;
+traces that agree so far describe the same partition, on which start grows
+with a cell's index, so they compare as they would with indices.
+
 Incidence structures and designs enter as colored bipartite graphs; repeated
 blocks collapse to one vertex colored by multiplicity, which keeps huge
 instance-permutation groups out of the search entirely.
@@ -28,6 +35,7 @@ from __future__ import annotations
 import hashlib
 from collections import deque
 from dataclasses import dataclass, field, fields
+from itertools import accumulate
 from typing import Iterable, Optional
 
 from .search import Budget, _Meter, _Stop
@@ -136,68 +144,58 @@ def design_graph(d: Design) -> ColoredGraph:
     return build_graph(v + len(contents), edges, colors)
 
 
-def _refine(adj, cells: list[list[int]], trace: list[int], work_init=None) -> None:
-    """Split cells by neighbor counts into given splitters until equitable.
+def _refine(adj, cells: dict[int, list[int]], trace: list[int], work) -> None:
+    """Split cells by neighbor counts into splitters, the cells of work
+    first, until the partition is equitable.
 
-    Mutates cells in place; appends the split events (cell position, count,
-    part size, ...) to the trace, which is what search ordering compares.
-    Only cells meeting a splitter's neighborhood are examined, and the
-    worklist drains as soon as the partition is discrete.
+    cells maps each cell's start to the cell and is updated in place.  A
+    split puts its pieces, in count order, at the cell's own start onward,
+    so no other cell moves and the touched cells are visited in start
+    order, which is their order in the partition.  The split events (cell
+    start, count, part size, ...) go to the trace, which is what search
+    ordering compares; start stands in for the cell's index because it
+    grows with it (see the module docstring).  Only cells meeting a
+    splitter's neighborhood are examined, and the worklist drains as soon
+    as the partition is discrete.
     """
-    cell_at: dict[int, list[int]] = {}   # vertex -> its cell object
-    pos: dict[int, int] = {}             # id(cell) -> current index
-    nonsingleton = 0
-    for i, cell in enumerate(cells):
-        pos[id(cell)] = i
+    n = len(adj)
+    cell_at: dict[int, int] = {}   # vertex of a non-singleton cell -> start
+    for start, cell in cells.items():
         if len(cell) > 1:
-            nonsingleton += 1
             for x in cell:
-                cell_at[x] = cell
-    work = deque(cells if work_init is None else work_init)
-    while work and nonsingleton:
+                cell_at[x] = start
+    work = deque(work)
+    while work and len(cells) < n:
         splitter = work.popleft()
         cnt: dict[int, int] = {}
         for u in splitter:
             for w in adj[u]:
                 cnt[w] = cnt.get(w, 0) + 1
-        touched: dict[int, list[int]] = {}
-        for w in cnt:
-            cell = cell_at.get(w)
-            if cell is not None:
-                touched[id(cell)] = cell
-        for cid in sorted(touched, key=pos.__getitem__):
-            cell = touched[cid]
+        starts = {cell_at[w] for w in cnt if w in cell_at}
+        for start in sorted(starts):
             parts: dict[int, list[int]] = {}
-            for x in cell:
+            for x in cells[start]:
                 parts.setdefault(cnt.get(x, 0), []).append(x)
             if len(parts) == 1:
                 continue
-            i = pos.pop(cid)
-            keys = sorted(parts)
-            pieces = [parts[key] for key in keys]
-            cells[i:i + 1] = pieces
-            nonsingleton -= 1
             trace.append(-1)
-            trace.append(i)
-            for key, piece in zip(keys, pieces):
+            trace.append(start)
+            for key in sorted(parts):
+                piece = parts[key]
+                cells[start] = piece
                 trace.append(key)
                 trace.append(len(piece))
                 if len(piece) > 1:
-                    nonsingleton += 1
                     for x in piece:
-                        cell_at[x] = piece
+                        cell_at[x] = start
                 else:
-                    cell_at.pop(piece[0], None)
-            shift = len(pieces) - 1
-            for j, piece in enumerate(pieces):
-                pos[id(piece)] = i + j
-            for later in cells[i + len(pieces):]:
-                pos[id(later)] += shift
-            work.extend(pieces)
+                    del cell_at[piece[0]]
+                start += len(piece)
+                work.append(piece)
 
 
 def _leaf(adj, cells):
-    order = [cell[0] for cell in cells]
+    order = [cells[start][0] for start in range(len(cells))]
     pos = {vtx: i for i, vtx in enumerate(order)}
     rows = tuple(tuple(sorted(pos[w] for w in adj[vtx])) for vtx in order)
     return rows, tuple(order)
@@ -228,9 +226,10 @@ def canonical_form(g: ColoredGraph,
     by_color: dict[tuple[int, int], list[int]] = {}
     for vtx in range(n):
         by_color.setdefault(g.colors[vtx], []).append(vtx)
-    cells0 = [by_color[key] for key in sorted(by_color)]
+    colored = [by_color[key] for key in sorted(by_color)]
+    cells0 = dict(zip(accumulate(map(len, colored), initial=0), colored))
     trace0: list[int] = []
-    _refine(adj, cells0, trace0)
+    _refine(adj, cells0, trace0, colored)
     stats.refines += 1
 
     # a leaf is (trace, rows, order, path)
@@ -244,7 +243,7 @@ def canonical_form(g: ColoredGraph,
     # found below the current node restores tightness for later siblings.
     # Returns the depth at which the search resumes: len(path) normally, less
     # when a new automorphism shows that the subtree there was searched.
-    def rec(cells: list[list[int]], trace: list[int], base: int,
+    def rec(cells: dict[int, list[int]], trace: list[int], base: int,
             tight: bool, path: list[int]) -> int:
         nonlocal best, first, version
         meter.tick()
@@ -256,13 +255,7 @@ def canonical_form(g: ColoredGraph,
                 return depth
             if seg < ref:
                 tight = False
-        target = -1
-        size = None
-        for i, cell in enumerate(cells):
-            if len(cell) > 1 and (size is None or len(cell) < size):
-                target = i
-                size = len(cell)
-        if target < 0:
+        if len(cells) == n:
             stats.leaves += 1
             rows, order = _leaf(adj, cells)
             tr = tuple(trace)
@@ -295,7 +288,9 @@ def canonical_form(g: ColoredGraph,
         fixing: list[list[int]] = []
         merged = 0
         covered: set[int] = set()
-        cell = cells[target]
+        # branch on the first smallest non-singleton cell
+        _, start = min((len(cell), s) for s, cell in cells.items() if len(cell) > 1)
+        cell = cells[start]
         for v in cell:
             if merged < len(gens):
                 new = [gen for gen in gens[merged:] if all(gen[x] == x for x in path)]
@@ -309,11 +304,12 @@ def canonical_form(g: ColoredGraph,
             covered.add(v)
             _close(covered, [v], fixing)
             fresh = [[v], [x for x in cell if x != v]]
-            child = cells[:target] + fresh + cells[target + 1:]
+            child = dict(cells)
+            child[start], child[start + 1] = fresh
             child_trace = list(trace)
             child_trace.append(-2)
-            child_trace.append(target)
-            _refine(adj, child, child_trace, work_init=fresh)
+            child_trace.append(start)
+            _refine(adj, child, child_trace, fresh)
             stats.refines += 1
             here = version
             path.append(v)

@@ -410,6 +410,7 @@ def _canon_counts(stats: CanonStats, rep: Report) -> None:
     rep.add("nodes", stats.nodes)
     rep.add("leaves", stats.leaves)
     rep.add("generators", stats.generators)
+    rep.add("refines", stats.refines)
 
 
 def _canon_cut(stats: CanonStats, rep: Report) -> int:

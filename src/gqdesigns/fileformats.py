@@ -47,6 +47,14 @@ class _Reader:
     def fail(self, lineno: int, column: int, message: str):
         raise FormatError(self.path, lineno, column, message)
 
+    def build(self, make, *args):
+        """make(*args), with a ValueError it raises reported at the header's
+        line, since it concerns the file as a whole."""
+        try:
+            return make(*args)
+        except ValueError as exc:
+            raise FormatError(self.path, self.rows[0][0], 1, str(exc)) from exc
+
 
 def _ints(reader: _Reader, lineno: int, raw: str, expect_word: str | None = None) -> list[int]:
     tokens = raw.split()
@@ -77,11 +85,11 @@ def _header(reader: _Reader, keyword: str, arity: int) -> list[int]:
     return vals
 
 
-def _parse_rows(text: str, path: str, keyword: str, noun: str,
-                same_size: bool = False) -> tuple[int, list[list[int]]]:
-    """The header's point count and the rows it promises, each a list of
-    distinct point indices, and all as long as the first if same_size; noun
-    names one row in messages."""
+def _parse_rows(text: str, path: str, keyword: str, noun: str, make,
+                same_size: bool = False):
+    """make(point count, rows) from the header's point count and the rows it
+    promises, each a list of distinct point indices, and all as long as the
+    first if same_size; noun names one row in messages."""
     reader = _Reader(text, path)
     points, nrows = _header(reader, keyword, 2)
     rows = []
@@ -99,23 +107,15 @@ def _parse_rows(text: str, path: str, keyword: str, noun: str,
     if not reader.done():
         lineno, _ = reader.take("nothing")
         reader.fail(lineno, 1, f"expected {nrows} {noun}s per the header, found more")
-    return points, rows
+    return reader.build(make, points, rows)
 
 
 def parse_incidence(text: str, path: str = "<incidence>") -> IncidenceStructure:
-    points, lines = _parse_rows(text, path, "inc", "line")
-    try:
-        return IncidenceStructure(points, lines)
-    except ValueError as exc:
-        raise FormatError(path, 1, 1, str(exc)) from exc
+    return _parse_rows(text, path, "inc", "line", IncidenceStructure)
 
 
 def parse_design(text: str, path: str = "<design>") -> Design:
-    v, blocks = _parse_rows(text, path, "design", "block", same_size=True)
-    try:
-        return Design(v, blocks)
-    except ValueError as exc:
-        raise FormatError(path, 1, 1, str(exc)) from exc
+    return _parse_rows(text, path, "design", "block", Design, same_size=True)
 
 
 def parse_ovoid(text: str, path: str = "<ovoid>") -> frozenset[int]:
@@ -163,11 +163,8 @@ def parse_lrs(text: str, path: str = "<lrs>") -> LocalResolutionSystem:
             reader.fail(lineno, 1, f"expected 'point' or 'class', got {word!r}")
     missing = [p for p in range(v) if p not in sections]
     if missing:
-        reader.fail(1, 1, f"missing 'point' section for point {missing[0]}")
-    try:
-        return LocalResolutionSystem([sections[p] for p in range(v)])
-    except ValueError as exc:
-        raise FormatError(path, 1, 1, str(exc)) from exc
+        reader.fail(reader.rows[0][0], 1, f"missing 'point' section for point {missing[0]}")
+    return reader.build(LocalResolutionSystem, [sections[p] for p in range(v)])
 
 
 def _write_rows(keyword: str, s: IncidenceStructure) -> str:

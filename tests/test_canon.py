@@ -180,6 +180,82 @@ def test_frozen_forms_and_counters(w2, w2_ovoids):
     assert got == FROZEN_FORMS
 
 
+# the same, measured before cells were named by their start, on W(4) and
+# AG(2,4) relabeled by random.Random(17) in that order: other leaves are
+# searched than as built, and the digests are those of the built forms
+FROZEN_RELABELED_FORMS = {
+    "W(4)": (FROZEN_FORMS["W(4)"][0], (113, 12, 11, 126, 44, 113)),
+    "AG(2,4)": (FROZEN_FORMS["AG(2,4)"][0], (45, 13, 7, 35, 20, 45)),
+}
+
+
+def test_frozen_relabeled_forms_and_counters():
+    rng = random.Random(17)
+    graphs = {
+        "W(4)": incidence_graph(_relabel_structure(symplectic_gq(4), rng)),
+        "AG(2,4)": design_graph(_relabel_design(affine_plane(4), rng)),
+    }
+    got = {}
+    for name, g in graphs.items():
+        form = canonical_form(g)
+        got[name] = (form.digest, dataclasses.astuple(form.stats))
+    assert got == FROZEN_RELABELED_FORMS
+
+
+def _check_refinement(g: ColoredGraph, before: list[list[int]],
+                      after: dict[int, list[int]]) -> None:
+    """after is an equitable partition of g's vertices, named by the starts
+    of its cells, that refines the ordered partition before in order."""
+    cells = [after[start] for start in sorted(after)]
+    starts = [0]
+    for cell in cells:
+        starts.append(starts[-1] + len(cell))
+    assert sorted(after) == starts[:-1]
+    assert sorted(v for cell in cells for v in cell) == list(range(g.n))
+    # each cell lies in the cell of before that holds its positions
+    owner = [i for i, cell in enumerate(before) for _ in cell]
+    for start, cell in zip(starts, cells):
+        i = owner[start]
+        assert owner[start + len(cell) - 1] == i
+        assert set(cell) <= set(before[i])
+    for cell in cells:
+        for other in cells:
+            degrees = {len(g.adj[v] & set(other)) for v in cell}
+            assert len(degrees) == 1
+
+
+def test_refinement_is_equitable_and_refines_its_input():
+    rng = random.Random(18)
+    graphs = [_random_colored_graph(rng, rng.randrange(1, 16)) for _ in range(30)]
+    graphs += [incidence_graph(symplectic_gq(2)), incidence_graph(symplectic_gq(3)),
+               _torus_graph([(1, 0), (0, 1), (1, 1)])]
+    for g in graphs:
+        by_color = {}
+        for v in range(g.n):
+            by_color.setdefault(g.colors[v], []).append(v)
+        before = [by_color[key] for key in sorted(by_color)]
+        cells, start = {}, 0
+        for cell in before:
+            cells[start] = cell
+            start += len(cell)
+        canon._refine(g.adj, cells, [], before)
+        _check_refinement(g, before, cells)
+        # individualize one vertex of a non-singleton cell, as a search
+        # node does, and refine from the two new cells only
+        big = [start for start, cell in cells.items() if len(cell) > 1]
+        if not big:
+            continue
+        start = rng.choice(big)
+        cell = cells[start]
+        v = rng.choice(cell)
+        fresh = [[v], [x for x in cell if x != v]]
+        child = dict(cells)
+        child[start], child[start + 1] = fresh
+        before = [child[s] for s in sorted(child)]
+        canon._refine(g.adj, child, [], fresh)
+        _check_refinement(g, before, child)
+
+
 def test_budget_cuts_canonical_form():
     with pytest.raises(BudgetExceeded) as cut:
         canonical_form(incidence_graph(symplectic_gq(3)), Budget(max_nodes=1))

@@ -268,6 +268,20 @@ def test_canon_digests_agree_for_isomorphic_inputs(w2_file, tmp_path):
     assert int(rep["leaves"]) == int(a["leaves"]) + int(b["leaves"])
 
 
+def test_canon_and_iso_report_refinements(w2_file, tmp_path):
+    a = report_of(run("canon", "w2.inc", cwd=tmp_path))
+    proc = run("iso", "w2.inc", "w2.inc", cwd=tmp_path)
+    assert proc.returncode == 0
+    b = report_of(proc)
+    for rep in (a, b):
+        keys = list(rep)
+        at = keys.index("nodes")
+        assert keys[at:at + 4] == ["nodes", "leaves", "generators", "refines"]
+    # the search enters each node after refining its partition once
+    assert int(a["refines"]) == int(a["nodes"]) == 28
+    assert int(b["refines"]) == 2 * int(a["refines"])
+
+
 def test_iso_on_marked_quadrangles(w2_file, tmp_path):
     run("ovoids", "w2.inc", "--out", "ov", cwd=tmp_path)
     proc = run("iso", "w2.inc", "w2.inc", "--ovoid-a", "ov0.ovoid",

@@ -130,6 +130,16 @@ def test_row_errors_name_the_line_of_the_row():
     _expect_error(parse_design, "design 4 3\n0 1 2\n# c\n1 1 2\n", 4, "block repeats")
 
 
+def test_whole_file_errors_name_the_header_line():
+    # what the constructors reject, and a missing lrs section, concern the
+    # whole file, so they are reported where its header is
+    with pytest.raises(FormatError, match=r"^x:3:1: need at least one point$"):
+        parse_incidence("# c\n\ninc 0 0\n", "x")
+    _expect_error(parse_design, "# c\ndesign 0 0\n", 2, "need at least one point")
+    _expect_error(parse_lrs, "# c\n\n# d\nlrs 2\npoint 0\nclass 0\n", 4,
+                  "missing 'point' section for point 1")
+
+
 def test_ovoid_errors():
     _expect_error(parse_ovoid, "ovoid 2\n0 1 2\n", 2, "promises 2")
     _expect_error(parse_ovoid, "ovoid 2\n0 0\n", 2, "repeat")

@@ -58,7 +58,6 @@ class CanonStats:
     generators: int = 0    # automorphisms found
     orbit_prunes: int = 0  # children skipped as images of a searched sibling
     jumps: int = 0         # nodes left early after a new automorphism
-    refines: int = 0       # refinements to equitability
 
     def add(self, other: "CanonStats") -> None:
         for f in fields(self):
@@ -230,7 +229,6 @@ def canonical_form(g: ColoredGraph,
     cells0 = dict(zip(accumulate(map(len, colored), initial=0), colored))
     trace0: list[int] = []
     _refine(adj, cells0, trace0, colored)
-    stats.refines += 1
 
     # a leaf is (trace, rows, order, path)
     first: Optional[tuple] = None
@@ -310,7 +308,6 @@ def canonical_form(g: ColoredGraph,
             child_trace.append(-2)
             child_trace.append(start)
             _refine(adj, child, child_trace, fresh)
-            stats.refines += 1
             here = version
             path.append(v)
             resume = rec(child, child_trace, len(trace), tight, path)

@@ -19,9 +19,9 @@ import time
 from typing import TYPE_CHECKING
 
 from .fileformats import FormatError, parse_design, parse_incidence, \
-    parse_lrs, parse_ovoid, write_design, write_incidence, write_lrs, \
-    write_ovoid
-from .structures import dual, verify_bibd, verify_gq, verify_lrs, \
+    parse_lrs, parse_ovoid, parse_structure, write_design, write_incidence, \
+    write_lrs, write_ovoid
+from .structures import Design, dual, verify_bibd, verify_gq, verify_lrs, \
     verify_non_triangular, verify_ovoid
 
 if TYPE_CHECKING:  # names used in annotations only
@@ -48,15 +48,15 @@ class Report:
         return "".join(f"{k}: {v}\n" for k, v in self.items)
 
 
-def _read_input(path: str, rep: Report) -> str:
-    """Read an input file and record its sha256 in the report."""
+def _load(path: str, parse, rep: Report):
+    """Read an input file, record its sha256 in the report and parse it."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc.strerror}") from exc
     rep.add(f"input.{path}.sha256", hashlib.sha256(text.encode()).hexdigest())
-    return text
+    return parse(text, path)
 
 
 def _save(path: str, text: str) -> None:
@@ -70,18 +70,6 @@ def _save(path: str, text: str) -> None:
 def _write_text(path: str, text: str, rep: Report, key: str) -> None:
     _save(path, text)
     rep.add(key, path)
-
-
-def _load(path: str, parser_fn, rep: Report):
-    return parser_fn(_read_input(path, rep), path)
-
-
-def _sniff(path: str, text: str) -> str:
-    for raw in text.splitlines():
-        stripped = raw.strip()
-        if stripped and not stripped.startswith("#"):
-            return stripped.split()[0]
-    raise FormatError(path, 1, 1, "empty file")
 
 
 def _count(text: str) -> int:
@@ -110,12 +98,14 @@ def _seconds(text: str) -> float:
 
 def _budget(args) -> Budget | None:
     from .search import Budget
-    if args.budget is None:
-        return None
-    return Budget(max_seconds=args.budget)
+    return None if args.budget is None else Budget(max_seconds=args.budget)
 
 
-def _search_exit(result, rep: Report) -> int:
+def _search_exit(result, rep: Report, out: str | None, write, ext: str) -> int:
+    """Write each solution to out<i>.<ext> if out is given, then report."""
+    if out is not None:
+        for i, solution in enumerate(result.solutions):
+            _write_text(f"{out}{i}.{ext}", write(solution), rep, f"output.{ext}.{i}")
     rep.add("found", len(result.solutions))
     rep.add("exhausted", result.exhausted)
     rep.add("nodes", result.nodes)
@@ -208,48 +198,40 @@ def _report_design(d, rep: Report, allow_degenerate: bool = False,
 
 # --- verify --------------------------------------------------------------
 
-def _want(args, n: int) -> list[str]:
-    if len(args.files) != n:
-        raise UsageError(
-            f"verify {args.kind} takes {n} file argument{'s' if n > 1 else ''}")
-    return args.files
+# each check's parsers, one per file argument in order
+_VERIFY_FILES = {
+    "gq": (parse_incidence,), "bibd": (parse_design,),
+    "ovoid": (parse_incidence, parse_ovoid),
+    "lrs": (parse_design, parse_lrs), "ntlrs": (parse_design, parse_lrs)}
 
 
 def cmd_verify(args, rep: Report) -> int:
     kind = args.kind
     rep.add("check", kind)
+    parsers = _VERIFY_FILES[kind]
+    n = len(parsers)
+    if len(args.files) != n:
+        raise UsageError(f"verify {kind} takes {n} file argument{'s' if n > 1 else ''}")
+    first, *rest = [_load(path, parse, rep) for path, parse in zip(args.files, parsers)]
     if kind == "gq":
-        (path,) = _want(args, 1)
-        s = _load(path, parse_incidence, rep)
-        params = verify_gq(s)
+        params = verify_gq(first)
         rep.add("params.s", params.s)
         rep.add("params.t", params.t)
-    elif kind == "bibd":
-        (path,) = _want(args, 1)
-        d = _load(path, parse_design, rep)
-        _report_design(d, rep)
     elif kind == "ovoid":
-        inc_path, ov_path = _want(args, 2)
-        s = _load(inc_path, parse_incidence, rep)
-        ovoid = _load(ov_path, parse_ovoid, rep)
-        verify_ovoid(s, ovoid)
-        rep.add("ovoid_size", len(ovoid))
-    elif kind in ("lrs", "ntlrs"):
-        d_path, l_path = _want(args, 2)
-        d = _load(d_path, parse_design, rep)
-        system = _load(l_path, parse_lrs, rep)
-        _report_design(d, rep)
-        verify_lrs(d, system)
-        if kind == "ntlrs":
-            witness = verify_non_triangular(d, system)
-            rep.add("non_triangular", witness is None)
-            if witness is not None:
-                rep.add("triangle.blocks", " ".join(map(str, witness.blocks)))
-                rep.add("triangle.points", " ".join(map(str, witness.points)))
-                rep.add("verified", False)
-                return 1
-    else:  # pragma: no cover - argparse restricts choices
-        raise UsageError(f"unknown check {kind!r}")
+        verify_ovoid(first, rest[0])
+        rep.add("ovoid_size", len(rest[0]))
+    else:
+        _report_design(first, rep)
+    if kind in ("lrs", "ntlrs"):
+        verify_lrs(first, rest[0])
+    if kind == "ntlrs":
+        witness = verify_non_triangular(first, rest[0])
+        rep.add("non_triangular", witness is None)
+        if witness is not None:
+            rep.add("triangle.blocks", " ".join(map(str, witness.blocks)))
+            rep.add("triangle.points", " ".join(map(str, witness.points)))
+            rep.add("verified", False)
+            return 1
     rep.add("verified", True)
     return 0
 
@@ -259,25 +241,15 @@ def cmd_verify(args, rep: Report) -> int:
 def cmd_ovoids(args, rep: Report) -> int:
     from .search import find_ovoids
     s = _load(args.incidence, parse_incidence, rep)
-    limit = args.limit if args.limit else None
-    result = find_ovoids(s, limit=limit, budget=_budget(args))
-    if args.out is not None:
-        for i, ovoid in enumerate(result.solutions):
-            _write_text(f"{args.out}{i}.ovoid", write_ovoid(ovoid), rep,
-                        f"output.ovoid.{i}")
-    return _search_exit(result, rep)
+    result = find_ovoids(s, limit=args.limit or None, budget=_budget(args))
+    return _search_exit(result, rep, args.out, write_ovoid, "ovoid")
 
 
 def cmd_ntlrs(args, rep: Report) -> int:
     from .search import find_ntlrs
     d = _load(args.design, parse_design, rep)
-    limit = args.limit if args.limit else None
-    result = find_ntlrs(d, limit=limit, budget=_budget(args))
-    if args.out is not None:
-        for i, system in enumerate(result.solutions):
-            _write_text(f"{args.out}{i}.lrs", write_lrs(system), rep,
-                        f"output.lrs.{i}")
-    return _search_exit(result, rep)
+    result = find_ntlrs(d, limit=args.limit or None, budget=_budget(args))
+    return _search_exit(result, rep, args.out, write_lrs, "lrs")
 
 
 # --- the correspondence --------------------------------------------------
@@ -387,14 +359,9 @@ def cmd_payne(args, rep: Report) -> int:
 
 # --- canonical forms -----------------------------------------------------
 
-def _read_structure(path: str, rep: Report):
-    """The kind named by a file's header ("inc" or "design") and its parse."""
-    text = _read_input(path, rep)
-    kind = _sniff(path, text)
-    parsers = {"inc": parse_incidence, "design": parse_design}
-    if kind not in parsers:
-        raise FormatError(path, 1, 1, f"unrecognised header {kind!r}")
-    return kind, parsers[kind](text, path)
+def _kind(structure) -> str:
+    """The header word of the file a structure was read from."""
+    return "design" if isinstance(structure, Design) else "inc"
 
 
 def _read_marks(kind: str, path: str | None, rep: Report):
@@ -410,7 +377,6 @@ def _canon_counts(stats: CanonStats, rep: Report) -> None:
     rep.add("nodes", stats.nodes)
     rep.add("leaves", stats.leaves)
     rep.add("generators", stats.generators)
-    rep.add("refines", stats.refines)
 
 
 def _canon_cut(stats: CanonStats, rep: Report) -> int:
@@ -422,7 +388,8 @@ def _canon_cut(stats: CanonStats, rep: Report) -> int:
 def cmd_canon(args, rep: Report) -> int:
     from .canon import BudgetExceeded, canonical_form, design_graph, \
         incidence_graph
-    kind, structure = _read_structure(args.file, rep)
+    structure = _load(args.file, parse_structure, rep)
+    kind = _kind(structure)
     ovoid = _read_marks(kind, args.ovoid, rep)
     graph = (incidence_graph(structure, ovoid) if kind == "inc"
              else design_graph(structure))
@@ -441,8 +408,9 @@ def cmd_iso(args, rep: Report) -> int:
         gq_isomorphic
     if (args.ovoid_a is None) != (args.ovoid_b is None):
         raise UsageError("give --ovoid-a and --ovoid-b together or not at all")
-    kind, a = _read_structure(args.first, rep)
-    kind_b, b = _read_structure(args.second, rep)
+    a = _load(args.first, parse_structure, rep)
+    b = _load(args.second, parse_structure, rep)
+    kind, kind_b = _kind(a), _kind(b)
     if kind != kind_b:
         raise UsageError(f"cannot compare a {kind!r} file with a {kind_b!r} file")
     ov_a = _read_marks(kind, args.ovoid_a, rep)
@@ -505,7 +473,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", parents=[common],
                        help="check a structure against its axioms")
-    p.add_argument("kind", choices=["gq", "bibd", "ovoid", "lrs", "ntlrs"])
+    p.add_argument("kind", choices=list(_VERIFY_FILES))
     p.add_argument("files", nargs="+", metavar="FILE")
     p.set_defaults(func=cmd_verify)
 

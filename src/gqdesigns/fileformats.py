@@ -118,6 +118,16 @@ def parse_design(text: str, path: str = "<design>") -> Design:
     return _parse_rows(text, path, "design", "block", Design, same_size=True)
 
 
+def parse_structure(text: str, path: str = "<structure>") -> IncidenceStructure:
+    """The incidence structure or the design, as the file's header names."""
+    reader = _Reader(text, path)
+    lineno, raw = reader.take("an 'inc' or 'design' header")
+    word = raw.split()[0]
+    if word not in ("inc", "design"):
+        reader.fail(lineno, 1, f"unrecognised header {word!r}")
+    return (parse_incidence if word == "inc" else parse_design)(text, path)
+
+
 def parse_ovoid(text: str, path: str = "<ovoid>") -> frozenset[int]:
     reader = _Reader(text, path)
     (n,) = _header(reader, "ovoid", 1)
@@ -184,6 +194,8 @@ def write_design(d: Design) -> str:
 
 def write_ovoid(ovoid) -> str:
     pts = list(ovoid)
+    if not pts:
+        raise ValueError("an ovoid has at least one point")
     for p in pts:
         if not _is_int(p) or p < 0:
             raise ValueError(f"ovoid point {p!r} is not an int >= 0")

@@ -123,27 +123,24 @@ def perp(s: IncidenceStructure, x: int) -> frozenset[int]:
     return frozenset(_bits(s.neighbor_masks[x] | (1 << x)))
 
 
-def trace_pair(s: IncidenceStructure, x: int, y: int) -> frozenset[int]:
-    """Intersection of the perps of two distinct points."""
+def _trace_mask(s: IncidenceStructure, x: int, y: int, what: str) -> int:
+    """Mask of the perps' meet of distinct points x, y; what names the caller."""
     _check_point(s, x)
     _check_point(s, y)
     if x == y:
-        raise ValueError("trace needs two distinct points")
-    mx = s.neighbor_masks[x] | (1 << x)
-    my = s.neighbor_masks[y] | (1 << y)
-    return frozenset(_bits(mx & my))
+        raise ValueError(f"{what} needs two distinct points")
+    return (s.neighbor_masks[x] | (1 << x)) & (s.neighbor_masks[y] | (1 << y))
+
+
+def trace_pair(s: IncidenceStructure, x: int, y: int) -> frozenset[int]:
+    """Intersection of the perps of two distinct points."""
+    return frozenset(_bits(_trace_mask(s, x, y, "trace")))
 
 
 def span_pair(s: IncidenceStructure, x: int, y: int) -> frozenset[int]:
     """Points collinear with every point of trace_pair(s, x, y)."""
-    _check_point(s, x)
-    _check_point(s, y)
-    if x == y:
-        raise ValueError("span needs two distinct points")
-    mx = s.neighbor_masks[x] | (1 << x)
-    my = s.neighbor_masks[y] | (1 << y)
     acc = (1 << s.point_count) - 1
-    for z in _bits(mx & my):
+    for z in _bits(_trace_mask(s, x, y, "span")):
         acc &= s.neighbor_masks[z] | (1 << z)
     return frozenset(_bits(acc))
 

@@ -337,13 +337,12 @@ def verify_ovoid(s: IncidenceStructure, ovoid: Iterable[int]) -> None:
     """
     params = verify_gq(s)
     pts = frozenset(ovoid)
+    mask = 0
     for p in pts:
         if not _is_int(p):
             raise OvoidError((p,), f"ovoid point {p!r} is not an int")
         if not 0 <= p < s.point_count:
             raise OvoidError((p,), f"ovoid point {p} out of range")
-    mask = 0
-    for p in pts:
         mask |= 1 << p
     for j, m in enumerate(s.line_masks):
         hits = (m & mask).bit_count()

@@ -276,10 +276,12 @@ def test_canon_and_iso_report_refinements(w2_file, tmp_path):
     for rep in (a, b):
         keys = list(rep)
         at = keys.index("nodes")
-        assert keys[at:at + 4] == ["nodes", "leaves", "generators", "refines"]
-    # the search enters each node after refining its partition once
-    assert int(a["refines"]) == int(a["nodes"]) == 28
-    assert int(b["refines"]) == 2 * int(a["refines"])
+        assert keys[at:at + 3] == ["nodes", "leaves", "generators"]
+        assert "refines" not in rep
+    # the search enters each node after refining its partition once, so
+    # nodes also counts the refinements
+    assert int(a["nodes"]) == 28
+    assert int(b["nodes"]) == 2 * int(a["nodes"])
 
 
 def test_iso_on_marked_quadrangles(w2_file, tmp_path):
@@ -469,6 +471,15 @@ def test_ovoid_colouring_needs_incidence_files(w2_file, tmp_path):
         assert proc.returncode == 2, args
         assert proc.stdout == "", args
         assert message in proc.stderr, args
+
+
+def test_unrecognised_header_names_its_own_line(tmp_path):
+    (tmp_path / "foo.inc").write_text("# a note\n\nfoo 3 1\n0 1 2\n")
+    for args in (("canon", "foo.inc"), ("iso", "foo.inc", "foo.inc")):
+        proc = run(*args, cwd=tmp_path)
+        assert proc.returncode == 2, args
+        assert proc.stdout == "", args
+        assert "foo.inc:3:1: unrecognised header 'foo'" in proc.stderr, args
 
 
 def test_threads_and_seed_are_rejected(w2_file, tmp_path):

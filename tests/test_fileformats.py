@@ -6,13 +6,14 @@ from gqdesigns.fileformats import (
     parse_incidence,
     parse_lrs,
     parse_ovoid,
+    parse_structure,
     write_design,
     write_incidence,
     write_lrs,
     write_ovoid,
 )
 from gqdesigns.sprott import sprott_lrs
-from gqdesigns.structures import IncidenceStructure
+from gqdesigns.structures import Design, IncidenceStructure
 
 from conftest import fano_design, grid_3x3
 
@@ -55,6 +56,21 @@ def test_write_ovoid_refuses_what_parse_ovoid_refuses(w2_ovoids):
         assert parse_ovoid(write_ovoid(iter(sorted(o)))) == o
 
 
+def test_every_writer_parses_back(w2, w2_ovoids, sprott4):
+    d, system = sprott4
+    cases = [(write_incidence, parse_incidence, w2), (write_design, parse_design, d),
+             (write_ovoid, parse_ovoid, w2_ovoids[0]), (write_lrs, parse_lrs, system),
+             (write_incidence, parse_structure, w2), (write_design, parse_structure, d)]
+    for write, parse, obj in cases:
+        assert parse(write(obj)) == obj
+        assert type(parse(write(obj))) is type(obj)
+    # "ovoid 0" and an empty points line is no file parse_ovoid reads
+    with pytest.raises(ValueError, match="at least one point"):
+        write_ovoid([])
+    with pytest.raises(FormatError, match="unexpected end of file"):
+        parse_ovoid("ovoid 0\n\n")
+
+
 def test_writers_emit_sorted_indices():
     s = IncidenceStructure(4, [[3, 1], [2, 0]])
     assert write_incidence(s) == "inc 4 2\n1 3\n0 2\n"
@@ -67,6 +83,24 @@ def test_comments_and_blank_lines_ignored():
     assert s.lines == ((0, 1, 2),)
     o = parse_ovoid("ovoid 2\n# note\n0 2\n")
     assert o == frozenset({0, 2})
+
+
+def test_parse_structure_reads_the_kind_its_header_names():
+    s = parse_structure("# a structure\n\ninc 3 1\n  # note\n0 1 2\n", "x")
+    assert type(s) is IncidenceStructure and s.lines == ((0, 1, 2),)
+    d = parse_structure("\n# a design\ndesign 3 2\n0 1\n\n1 2\n", "x")
+    assert type(d) is Design and d.lines == ((0, 1), (1, 2))
+
+
+def test_parse_structure_errors_name_their_line():
+    with pytest.raises(FormatError, match=r"^x:3:1: unrecognised header 'foo'$"):
+        parse_structure("# c\n\nfoo 3 1\n0 1 2\n", "x")
+    for text in ("", "# only a comment\n\n"):
+        with pytest.raises(FormatError, match=r"^x:1:1: unexpected end of file"):
+            parse_structure(text, "x")
+    # the row error comes from parse_design, at the row's own line
+    with pytest.raises(FormatError, match=r"^x:5:1: block has size 3, expected 2$"):
+        parse_structure("# c\ndesign 4 2\n0 1\n\n1 2 3\n", "x")
 
 
 def test_lrs_sections_in_any_order(sprott4):

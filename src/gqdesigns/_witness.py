@@ -5,16 +5,16 @@ it imports this module and runs the scan here, which reports the same
 witness the verifier has always reported, in the same order.  A valid
 object never loads this module.  When a scan finds nothing the count said it
 would, it raises RuntimeError: by the counting arguments in the structures
-docstring that cannot happen.
+docstring that cannot happen.  triangle_scan, like verify_non_triangular's
+mask test, expects a system that passes verify_lrs.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Optional
 
 from .structures import (Design, GQAxiomError, IncidenceStructure,
-                         LocalResolutionSystem, LrsError, TriangleWitness)
+                         LocalResolutionSystem, TriangleWitness)
 
 
 def repeated_pair_scan(s: IncidenceStructure) -> None:
@@ -46,27 +46,19 @@ def axiom3_scan(s: IncidenceStructure) -> None:
     raise RuntimeError("counting found axiom 3 broken; the point-line scan found no witness")
 
 
-def triangle_scan(d: Design, system: LocalResolutionSystem) -> Optional[TriangleWitness]:
-    """The first co-class overlap (raised) or triangle (returned), or None.
+def triangle_scan(d: Design, system: LocalResolutionSystem) -> TriangleWitness:
+    """The first triangle of a system that passes verify_lrs.
 
-    Overlaps come in point, class and sorted pair order; triangles (b1, b2,
-    b3) ascend in b1 and then follow the order in which b1's co-class
-    partners were first met.
+    Triangles (b1, b2, b3) ascend in b1 and then follow the order in which
+    b1's co-class partners were first met.
     """
-    blocksets = [frozenset(b) for b in d.blocks]
-    partner: list[dict[int, int]] = [dict() for _ in range(len(blocksets))]
+    partner: list[dict[int, int]] = [dict() for _ in range(len(d.blocks))]
     for p in range(d.point_count):
         for cls in system.classes[p]:
             for bi, bj in combinations(sorted(cls), 2):
-                inter = blocksets[bi] & blocksets[bj]
-                if inter != {p}:
-                    raise LrsError(p, (bi, bj, tuple(sorted(inter))),
-                                   f"co-class instances {bi},{bj} at point {p} "
-                                   f"share {sorted(inter)}")
                 partner[bi][bj] = p
                 partner[bj][bi] = p
-    for b1 in range(len(blocksets)):
-        adj1 = partner[b1]
+    for b1, adj1 in enumerate(partner):
         for b2, p12 in adj1.items():
             if b2 <= b1:
                 continue
@@ -79,4 +71,4 @@ def triangle_scan(d: Design, system: LocalResolutionSystem) -> Optional[Triangle
                     continue
                 if not (p12 == p13 == p23):
                     return TriangleWitness((b1, b2, b3), (p23, p13, p12))
-    return None
+    raise RuntimeError("co-class masks found a triangle; the triangle scan found none")

@@ -162,7 +162,6 @@ def cmd_construct(args, rep: Report) -> int:
         except ValueError as exc:
             raise UsageError(f"--with-lrs: {exc}") from exc
         _report_design(d, rep)
-        verify_lrs(d, system)
         witness = verify_non_triangular(d, system)
         rep.add("non_triangular", witness is None)
         _write_text(args.out, write_design(d), rep, "output.design")
@@ -222,9 +221,9 @@ def cmd_verify(args, rep: Report) -> int:
         rep.add("ovoid_size", len(rest[0]))
     else:
         _report_design(first, rep)
-    if kind in ("lrs", "ntlrs"):
+    if kind == "lrs":
         verify_lrs(first, rest[0])
-    if kind == "ntlrs":
+    elif kind == "ntlrs":
         witness = verify_non_triangular(first, rest[0])
         rep.add("non_triangular", witness is None)
         if witness is not None:

@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 from .geometry import is_regular_pair
 from .structures import (Design, DesignParams, GQParams, IncidenceStructure,
                          LocalResolutionSystem, _bits, verify_bibd, verify_gq,
-                         verify_lrs, verify_non_triangular, verify_ovoid)
+                         verify_non_triangular, verify_ovoid)
 
 
 @dataclass(frozen=True)
@@ -94,7 +94,6 @@ def design_from_ovoid(s: IncidenceStructure, ovoid
                         (1 + params.t) * params.s, 1 + params.t, 1 + params.t)
     if got != want:
         raise RuntimeError(f"derived design has parameters {got}, expected {want}")
-    verify_lrs(design, system)
     witness = verify_non_triangular(design, system)
     if witness is not None:
         raise RuntimeError(f"derived system has a triangle: {witness}")
@@ -133,7 +132,6 @@ def gq_from_design(d: Design, system: LocalResolutionSystem) -> OvoidLabeledGQ:
     a non-triangular system; the output is re-verified before return.
     """
     s_order, t = _factor_parameters(verify_bibd(d))
-    verify_lrs(d, system)
     witness = verify_non_triangular(d, system)
     if witness is not None:
         raise ValueError(f"system has a triangle about points {witness.points}: "

@@ -17,7 +17,7 @@ MAX_ORDER = 1 << 16
 
 
 def is_prime(n: int) -> bool:
-    if n < 2:
+    if not _is_int(n) or n < 2:
         return False
     if n < 4:
         return True
@@ -33,7 +33,7 @@ def is_prime(n: int) -> bool:
 
 def factor_prime_power(q: int) -> tuple[int, int] | None:
     """Return (p, a) with q == p**a and p prime, or None."""
-    if q < 2:
+    if not _is_int(q) or q < 2:
         return None
     for p in range(2, q + 1):
         if p * p > q:

@@ -29,8 +29,8 @@ def sprott_family(p: int, a: int, lam: int) -> DifferenceFamily:
     """The base blocks only; see sprott_design for the developed design."""
     f = make_field(p, a)
     q = f.q
-    if lam < 2:
-        raise ValueError("block size must be at least 2")
+    if not _is_int(lam) or lam < 2:
+        raise ValueError(f"block size must be an int >= 2, got {lam!r}")
     if lam >= q:
         raise ValueError(f"block size {lam} must be smaller than the field order {q}")
     if (q - 1) % (lam - 1):
@@ -93,8 +93,8 @@ def sprott_lrs(q: int) -> tuple[Design, LocalResolutionSystem]:
     block (0, 1, x^(q-1) + 1, ..., x^(q(q-1)) + 1).  Classes about any other
     point v are the translates by v of the classes about 0.
     """
-    if q < 4 or q & (q - 1):
-        raise ValueError(f"need a power of 2 with q >= 4, got {q}")
+    if not _is_int(q) or q < 4 or q & (q - 1):
+        raise ValueError(f"need a power of 2 with q >= 4, got {q!r}")
     fam, design = sprott_design(2, 2 * (q.bit_length() - 1), q + 2)
     f = fam.field
     qq = f.q  # q^2 points

@@ -9,12 +9,14 @@ linear space of order (s,t) has at least (s+1)(st+1) points, with equality
 exactly when it is a GQ (Payne & Thas, Finite Generalized Quadrangles, 1.2).
 So axiom 3 holds exactly when there are (s+1)(st+1) points and each collinear
 pair has s - 1 common neighbours, none off its line L: the masks nbr[x] & ~L,
-x on L, are pairwise disjoint.  verify_non_triangular keeps co[b], the
-instances co-class with b.  Co-class instances share one point, so a
-triangle's three points are all equal or all distinct, and an LRS is
-non-triangular exactly when the masks co[b] & ~M, b in M, are pairwise
-disjoint for every class M.  Only when a test fails does a verifier load
-_witness, whose scans name the witness in the order always reported.
+x on L, are pairwise disjoint.  verify_non_triangular runs verify_lrs
+first, so each class less its point partitions the other points and two
+co-class instances share exactly their class point.  It keeps co[b], the
+instances co-class with b.  A triangle's three points are then all equal or
+all distinct, and the LRS is non-triangular exactly when the masks
+co[b] & ~M, b in M, are pairwise disjoint for every class M.  Only when a
+test fails does a verifier load _witness, whose scans name the witness in
+the order always reported.
 """
 
 from __future__ import annotations
@@ -353,23 +355,15 @@ def verify_ovoid(s: IncidenceStructure, ovoid: Iterable[int]) -> None:
                            f"but a GQ of order {tuple(params)} needs {1 + params.s * params.t}")
 
 
-def _check_point_count(d: Design, system: LocalResolutionSystem) -> None:
-    if system.point_count != d.point_count:
-        raise LrsError(-1, (system.point_count, d.point_count),
-                       f"system covers {system.point_count} points, design has {d.point_count}")
-
-
-def _out_of_range(p: int, ci: int, idx: int) -> LrsError:
-    return LrsError(p, (ci, idx), f"point {p}: instance {idx} out of range")
-
-
 def verify_lrs(d: Design, system: LocalResolutionSystem) -> None:
     """Check a local resolution system against its design.
 
     At every point p the classes must partition the block instances through p,
     and each class, with p removed, must partition the remaining points.
     """
-    _check_point_count(d, system)
+    if system.point_count != d.point_count:
+        raise LrsError(-1, (system.point_count, d.point_count),
+                       f"system covers {system.point_count} points, design has {d.point_count}")
     b = len(d.blocks)
     masks = d.line_masks
     full = (1 << d.point_count) - 1
@@ -380,7 +374,7 @@ def verify_lrs(d: Design, system: LocalResolutionSystem) -> None:
             union = twice = 0
             for idx in cls:
                 if not 0 <= idx < b:
-                    raise _out_of_range(p, ci, idx)
+                    raise LrsError(p, (ci, idx), f"point {p}: instance {idx} out of range")
                 bit = 1 << idx
                 if not through & bit:
                     raise LrsError(p, (ci, idx),
@@ -404,36 +398,26 @@ def verify_lrs(d: Design, system: LocalResolutionSystem) -> None:
 
 
 def verify_non_triangular(d: Design, system: LocalResolutionSystem) -> Optional[TriangleWitness]:
-    """Search for a triangle of pairwise co-class instances about three distinct points.
+    """Check a non-triangular local resolution system against its design.
 
-    Expects a system that already passes verify_lrs; a system of the wrong
-    point count or naming an instance out of range raises the LrsError that
-    verify_lrs gives.  Returns None when every such triangle closes about a
+    Runs verify_lrs first, so a system that is no LRS raises its LrsError.
+    Then searches for a triangle of pairwise co-class instances about three
+    distinct points: returns None when every such triangle closes about a
     single point (the non-triangular condition), otherwise the first
-    offending witness.  Two instances in a common class must share exactly
-    that class point; any other overlap is reported as a system error.
+    offending witness.
     """
-    _check_point_count(d, system)
-    b = len(d.blocks)
-    masks = d.line_masks
-    co = [0] * b
+    verify_lrs(d, system)
+    co = [0] * len(d.blocks)
     members: list[tuple[frozenset[int], int]] = []
-    clean = True
-    for p in range(d.point_count):
-        pbit = 1 << p
-        for ci, cls in enumerate(system.classes[p]):
-            union = cmask = 0
+    for classes in system.classes:
+        for cls in classes:
+            cmask = 0
             for idx in cls:
-                if not 0 <= idx < b:
-                    raise _out_of_range(p, ci, idx)
-                if union and masks[idx] & union != pbit:
-                    clean = False
-                union |= masks[idx]
                 cmask |= 1 << idx
             for idx in cls:
                 co[idx] |= cmask
             members.append((cls, cmask))
-    if clean and all(_disjoint(co[idx] & ~cmask for idx in cls) for cls, cmask in members):
+    if all(_disjoint(co[idx] & ~cmask for idx in cls) for cls, cmask in members):
         return None
     from ._witness import triangle_scan
     return triangle_scan(d, system)

@@ -5,8 +5,10 @@ import sys
 import pytest
 
 from gqdesigns import field
-from gqdesigns.field import Field, factor_prime_power, field_tables, is_prime, \
-    make_field
+from gqdesigns.field import Field, factor_prime_power, field_of_order, field_tables, \
+    is_prime, make_field
+from gqdesigns.geometry import hermitian_gq, parabolic_gq, symplectic_gq
+from gqdesigns.sprott import affine_plane, sprott_family, sprott_lrs
 
 from conftest import child_env
 
@@ -49,6 +51,15 @@ def test_field_parameters_must_be_ints(p, a):
         make_field(p, a)
 
 
+@pytest.mark.parametrize("build,args", [
+    (field_of_order, (4.0,)), (symplectic_gq, (2.0,)), (parabolic_gq, (3.0,)),
+    (hermitian_gq, (2.0,)), (affine_plane, (3.0,)), (sprott_family, (3, 2, 3.0)),
+    (sprott_lrs, (4.0,))])
+def test_constructors_refuse_non_int_orders(build, args):
+    with pytest.raises(ValueError):
+        build(*args)
+
+
 def test_bool_degree_leaves_the_cache_clean():
     # GF(2) asked for with a = True was cached and handed to make_field(2, 1)
     code = ("from gqdesigns.field import make_field\n"
@@ -70,6 +81,8 @@ def test_is_prime_and_factoring():
     assert factor_prime_power(7) == (7, 1)
     assert factor_prime_power(12) is None
     assert factor_prime_power(1) is None
+    assert not is_prime(2.5)
+    assert factor_prime_power(9.0) is None
 
 
 def test_exp_log_are_inverse_bijections():

@@ -395,8 +395,16 @@ def test_non_triangular_rejects_what_verify_lrs_rejects(sprott4):
     extra = LocalResolutionSystem(rows + [rows[0]])
     stray = LocalResolutionSystem(rows[:3] + [rows[3] + [{999}]] + rows[4:])
     negative = LocalResolutionSystem(rows[:2] + [rows[2] + [{-1}]] + rows[3:])
+    # systems that are no LRS, though no triangle shows among their classes
+    dropped = LocalResolutionSystem([rows[0][1:]] + rows[1:])
+    repeated = LocalResolutionSystem([rows[0] + [rows[0][0]]] + rows[1:])
+    assert 0 not in d.blocks[18]
+    missing = LocalResolutionSystem([rows[0] + [{18}]] + rows[1:])
+    cut = LocalResolutionSystem([[{min(rows[0][0])}] + rows[0][1:]] + rows[1:])
     for bad, point, witness in [(short, -1, (15, 16)), (extra, -1, (17, 16)),
-                                (stray, 3, (len(rows[3]), 999)), (negative, 2, (0, -1))]:
+                                (stray, 3, (len(rows[3]), 999)), (negative, 2, (0, -1)),
+                                (dropped, 0, (0,)), (repeated, 0, (1, 0)),
+                                (missing, 0, (6, 18)), (cut, 0, (0, 3, 0))]:
         with pytest.raises(LrsError) as want:
             verify_lrs(d, bad)
         with pytest.raises(LrsError) as got:
@@ -560,6 +568,11 @@ def _reference_verify_non_triangular(d, system):
     return None
 
 
+def _reference_verify_ntlrs(d, system):
+    _reference_verify_lrs(d, system)
+    return _reference_verify_non_triangular(d, system)
+
+
 def _outcome(f, *args):
     """The value returned, or the exception's class, message and fields."""
     try:
@@ -691,7 +704,7 @@ def test_design_verifiers_match_the_scans():
                 got = _outcome(verify_lrs, d, sysm)
                 assert got == _outcome(_reference_verify_lrs, d, sysm)
                 nt = _outcome(verify_non_triangular, d, sysm)
-                assert nt == _outcome(_reference_verify_non_triangular, d, sysm)
+                assert nt == _outcome(_reference_verify_ntlrs, d, sysm)
                 outcomes.add((got is None, type(nt)))
             blocks = [list(b) for b in d.blocks]
             j = rng.randrange(len(blocks))
@@ -707,7 +720,7 @@ def test_design_verifiers_match_the_scans():
     d = Design(4, [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]])
     overlap = LocalResolutionSystem([[[0, 1]], [[0]], [[1]], [[2]]])
     assert _outcome(verify_non_triangular, d, overlap) \
-        == _outcome(_reference_verify_non_triangular, d, overlap)
+        == _outcome(_reference_verify_ntlrs, d, overlap)
     # the damage reached valid and broken systems, triangles and co-class errors
     assert {(True, type(None)), (True, TriangleWitness), (False, tuple)} <= outcomes
 
@@ -723,3 +736,10 @@ def test_fallback_scans_run_only_on_failure(monkeypatch):
         verify_bibd(d)
         verify_lrs(d, system)
         assert verify_non_triangular(d, system) is None
+
+
+def test_triangle_scan_raises_when_it_finds_no_triangle(sprott4):
+    # the mask test never calls it on a non-triangular system; called anyway,
+    # it must not pass the system off as clean
+    with pytest.raises(RuntimeError, match="found none"):
+        _witness.triangle_scan(*sprott4)

@@ -34,34 +34,41 @@ from __future__ import annotations
 
 import hashlib
 from collections import deque
-from dataclasses import dataclass, field, fields
 from itertools import accumulate
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
-from .search import Budget, _Meter, _Stop
+from .search import Budget, _Meter, _Record, _Stop
 from .structures import Design, IncidenceStructure, _is_int
 
 
-@dataclass(frozen=True)
-class ColoredGraph:
+class ColoredGraph(NamedTuple):
     n: int
     adj: tuple[frozenset[int], ...]
     colors: tuple[tuple[int, int], ...]
 
 
-@dataclass
-class CanonStats:
-    """What one canonical-form search did."""
+class CanonStats(_Record):
+    """What one canonical-form search did.
 
-    nodes: int = 0         # search nodes entered, the root and leaves included
-    leaves: int = 0        # discrete partitions reached
-    generators: int = 0    # automorphisms found
-    orbit_prunes: int = 0  # children skipped as images of a searched sibling
-    jumps: int = 0         # nodes left early after a new automorphism
+    nodes: search nodes entered, the root and leaves included.  leaves:
+    discrete partitions reached.  generators: automorphisms found.
+    orbit_prunes: children skipped as images of a searched sibling.  jumps:
+    nodes left early after a new automorphism.
+    """
 
-    def add(self, other: "CanonStats") -> None:
-        for f in fields(self):
-            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
+    __slots__ = ("nodes", "leaves", "generators", "orbit_prunes", "jumps")
+
+    def __init__(self, nodes: int = 0, leaves: int = 0, generators: int = 0,
+                 orbit_prunes: int = 0, jumps: int = 0):
+        self.nodes = nodes
+        self.leaves = leaves
+        self.generators = generators
+        self.orbit_prunes = orbit_prunes
+        self.jumps = jumps
+
+    def add(self, other: CanonStats) -> None:
+        for name in self.__slots__:
+            setattr(self, name, getattr(self, name) + getattr(other, name))
 
 
 class BudgetExceeded(Exception):
@@ -72,19 +79,32 @@ class BudgetExceeded(Exception):
         self.stats = stats
 
 
-@dataclass(frozen=True)
-class CanonicalForm:
-    """Complete isomorphism invariant plus the labeling that realizes it."""
+class CanonicalForm(NamedTuple):
+    """Complete isomorphism invariant plus the labeling that realizes it;
+    stats takes no part in == or hash."""
 
     size: int
     colors: tuple[tuple[int, int], ...]  # color at each canonical position
     rows: tuple[tuple[int, ...], ...]    # neighbor positions at each position
     order: tuple[int, ...]               # canonical position -> input vertex
     digest: str
-    stats: CanonStats = field(compare=False)
+    stats: CanonStats
 
     def key(self):
         return (self.size, self.colors, self.rows)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self[:5] == other[:5]
+
+    def __ne__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self[:5] != other[:5]
+
+    def __hash__(self) -> int:
+        return hash(self[:5])
 
 
 def build_graph(n: int, edges: Iterable[tuple[int, int]],

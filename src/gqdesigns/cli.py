@@ -12,7 +12,6 @@ loads and compiles only what its subcommand uses.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import math
 import sys
 import time
@@ -21,8 +20,8 @@ from typing import TYPE_CHECKING
 from .fileformats import FormatError, parse_design, parse_incidence, \
     parse_lrs, parse_ovoid, parse_structure, write_design, write_incidence, \
     write_lrs, write_ovoid
-from .structures import Design, dual, verify_bibd, verify_gq, verify_lrs, \
-    verify_non_triangular, verify_ovoid
+from .structures import Design, detect_replication, dual, verify_bibd, \
+    verify_gq, verify_lrs, verify_non_triangular, verify_ovoid
 
 if TYPE_CHECKING:  # names used in annotations only
     from .canon import CanonStats
@@ -48,15 +47,28 @@ class Report:
         return "".join(f"{k}: {v}\n" for k, v in self.items)
 
 
+def _newlines(text: str) -> str:
+    """CRLF and CR to LF, as a file opened in text mode reads."""
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
 def _load(path: str, parse, rep: Report):
-    """Read an input file, record its sha256 in the report and parse it."""
+    """Read an input file, record the sha256 of its bytes in the report and
+    parse it as UTF-8 text with its newlines made LF."""
+    import hashlib  # loads OpenSSL, which a run that reads no file skips
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        with open(path, "rb") as fh:
+            data = fh.read()
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc.strerror}") from exc
-    rep.add(f"input.{path}.sha256", hashlib.sha256(text.encode()).hexdigest())
-    return parse(text, path)
+    rep.add(f"input.{path}.sha256", hashlib.sha256(data).hexdigest())
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = _newlines(data[:exc.start].decode("utf-8"))
+        raise FormatError(path, head.count("\n") + 1, len(head) - head.rfind("\n"),
+                          f"not UTF-8 text: byte 0x{data[exc.start]:02x}") from None
+    return parse(_newlines(text), path)
 
 
 def _save(path: str, text: str) -> None:
@@ -321,7 +333,6 @@ def cmd_prop32(args, rep: Report) -> int:
 
 
 def cmd_replicated(args, rep: Report) -> int:
-    from .correspondence import detect_replication
     d = _load(args.design, parse_design, rep)
     got = detect_replication(d)
     rep.add("replicated", got is not None)

@@ -13,8 +13,7 @@ trips check each object exactly once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .geometry import is_regular_pair
 from .structures import (Design, DesignParams, GQParams, IncidenceStructure,
@@ -22,8 +21,7 @@ from .structures import (Design, DesignParams, GQParams, IncidenceStructure,
                          verify_non_triangular, verify_ovoid)
 
 
-@dataclass(frozen=True)
-class OvoidLabeledGQ:
+class OvoidLabeledGQ(NamedTuple):
     """A verified GQ with a distinguished ovoid.
 
     Points 0..v-1 are the design points and form the ovoid; point v + j is
@@ -184,8 +182,7 @@ def roundtrip_gq(s: IncidenceStructure, ovoid) -> bool:
             and lines == sorted(s.lines))
 
 
-@dataclass
-class RegularTraceReport:
+class RegularTraceReport(NamedTuple):
     """Outcome of the regular-trace coverage check for a GQ with an ovoid.
 
     ok: every outside point x has a non-collinear outside partner y with
@@ -238,20 +235,3 @@ def check_regular_traces(s: IncidenceStructure, ovoid) -> RegularTraceReport:
         failed is None, witnesses, failed,
         all(len(g) == 1 + params.t for g in twins.values()),
         len(regular) == len(twins))
-
-
-def detect_replication(d: Design) -> Optional[tuple[Design, int]]:
-    """Largest uniform repetition factor of the block multiset.
-
-    When every distinct block occurs exactly n >= 2 times, returns the
-    deduplicated design and n; otherwise None.
-    """
-    verify_bibd(d, allow_degenerate=True)
-    counts = d.multiplicities
-    mults = set(counts.values())
-    if len(mults) != 1:
-        return None
-    n = mults.pop()
-    if n < 2:
-        return None
-    return Design(d.point_count, sorted(counts)), n

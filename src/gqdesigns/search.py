@@ -50,53 +50,87 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .structures import (Design, IncidenceStructure, LocalResolutionSystem,
                          _bits, _is_int, verify_bibd, verify_gq,
                          verify_non_triangular, verify_ovoid)
 
 
-@dataclass(frozen=True)
-class Budget:
+class _Record:
+    """Fields named by __slots__; compared and shown as the tuple of them."""
+
+    __slots__ = ()
+
+    def _astuple(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._astuple() == other._astuple()
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({body})"
+
+
+class _Frozen(_Record):
+    """A _Record whose fields are set once, by __init__; hashable."""
+
+    __slots__ = ()
+
+    def __hash__(self) -> int:
+        return hash(self._astuple())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._astuple()
+
+
+class Budget(_Frozen):
     """Limits on one search: nodes entered (an int >= 0) and wall-clock
     seconds (a finite number >= 0); None is no limit, and 0 cuts the search
     at its first node."""
 
-    max_nodes: Optional[int] = None
-    max_seconds: Optional[float] = None
+    __slots__ = ("max_nodes", "max_seconds")
 
-    def __post_init__(self):
-        nodes, seconds = self.max_nodes, self.max_seconds
-        if nodes is not None and not (_is_int(nodes) and nodes >= 0):
-            raise ValueError(f"max_nodes must be None or an int >= 0, got {nodes!r}")
-        if seconds is not None and not (isinstance(seconds, (int, float))
-                                        and not isinstance(seconds, bool)
-                                        and 0 <= seconds < math.inf):
+    def __init__(self, max_nodes: Optional[int] = None,
+                 max_seconds: Optional[float] = None):
+        if max_nodes is not None and not (_is_int(max_nodes) and max_nodes >= 0):
+            raise ValueError(f"max_nodes must be None or an int >= 0, got {max_nodes!r}")
+        if max_seconds is not None and not (isinstance(max_seconds, (int, float))
+                                            and not isinstance(max_seconds, bool)
+                                            and 0 <= max_seconds < math.inf):
             raise ValueError("max_seconds must be None or a finite number >= 0, "
-                             f"got {seconds!r}")
+                             f"got {max_seconds!r}")
+        object.__setattr__(self, "max_nodes", max_nodes)
+        object.__setattr__(self, "max_seconds", max_seconds)
 
 
-@dataclass(frozen=True)
-class ExactCoverInstance:
-    universe: int
-    candidates: tuple[frozenset[int], ...]
+class ExactCoverInstance(_Frozen):
+    __slots__ = ("universe", "candidates")
 
-    def __post_init__(self):
-        if not (_is_int(self.universe) and self.universe >= 0):
-            raise ValueError(f"universe size must be an int >= 0, got {self.universe!r}")
-        for idx, cand in enumerate(self.candidates):
+    def __init__(self, universe: int, candidates: tuple[frozenset[int], ...]):
+        if not (_is_int(universe) and universe >= 0):
+            raise ValueError(f"universe size must be an int >= 0, got {universe!r}")
+        for idx, cand in enumerate(candidates):
             for e in cand:
                 if not _is_int(e):
                     raise ValueError(f"candidate {idx} covers {e!r}, not an int")
-                if not 0 <= e < self.universe:
+                if not 0 <= e < universe:
                     raise ValueError(
-                        f"candidate {idx} covers element {e} outside 0..{self.universe - 1}")
+                        f"candidate {idx} covers element {e} outside 0..{universe - 1}")
+        object.__setattr__(self, "universe", universe)
+        object.__setattr__(self, "candidates", candidates)
 
 
-@dataclass
-class SearchResult:
+class SearchResult(NamedTuple):
     solutions: list
     exhausted: bool
     nodes: int

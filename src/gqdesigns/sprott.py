@@ -9,14 +9,13 @@ instances.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .field import Field, field_of_order, make_field
 from .structures import Design, LocalResolutionSystem, _is_int
 
 
-@dataclass(frozen=True)
-class DifferenceFamily:
+class DifferenceFamily(NamedTuple):
     field: Field
     base_blocks: tuple[tuple[int, ...], ...]
 

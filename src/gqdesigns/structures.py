@@ -433,3 +433,20 @@ def dual(s: IncidenceStructure) -> IncidenceStructure:
         if not through:
             raise ValueError(f"point {p} lies on no line; dual would drop it")
     return IncidenceStructure(len(s.lines), s.lines_through)
+
+
+def detect_replication(d: Design) -> Optional[tuple[Design, int]]:
+    """Largest uniform repetition factor of the block multiset.
+
+    When every distinct block occurs exactly n >= 2 times, returns the
+    deduplicated design and n; otherwise None.
+    """
+    verify_bibd(d, allow_degenerate=True)
+    counts = d.multiplicities
+    mults = set(counts.values())
+    if len(mults) != 1:
+        return None
+    n = mults.pop()
+    if n < 2:
+        return None
+    return Design(d.point_count, sorted(counts)), n

@@ -19,7 +19,6 @@ from gqdesigns.canon import (
 from gqdesigns.correspondence import (
     check_regular_traces,
     design_from_ovoid,
-    detect_replication,
     gq_from_design,
     roundtrip_gq,
 )
@@ -43,6 +42,7 @@ from gqdesigns.structures import (
     GQParams,
     IncidenceStructure,
     LocalResolutionSystem,
+    detect_replication,
     dual,
     verify_bibd,
     verify_gq,

@@ -1,4 +1,3 @@
-import dataclasses
 import random
 import re
 import subprocess
@@ -11,6 +10,7 @@ import pytest
 from gqdesigns import canon
 from gqdesigns.canon import (
     BudgetExceeded,
+    CanonStats,
     ColoredGraph,
     are_isomorphic,
     build_graph,
@@ -138,6 +138,11 @@ def test_canonical_form_visits_few_leaves():
         assert stats.generators >= 1
 
 
+def _counters(stats) -> tuple[int, int, int, int, int]:
+    return (stats.nodes, stats.leaves, stats.generators, stats.orbit_prunes,
+            stats.jumps)
+
+
 # digest and CanonStats (nodes, leaves, generators, orbit_prunes, jumps) as
 # computed before the orbit bookkeeping changed; the ovoid is the first that
 # find_ovoids returns on W(2)
@@ -176,7 +181,7 @@ def test_frozen_forms_and_counters(w2, w2_ovoids):
     got = {}
     for name, g in graphs.items():
         form = canonical_form(g)
-        got[name] = (form.digest, dataclasses.astuple(form.stats))
+        got[name] = (form.digest, _counters(form.stats))
     assert got == FROZEN_FORMS
 
 
@@ -198,7 +203,7 @@ def test_frozen_relabeled_forms_and_counters():
     got = {}
     for name, g in graphs.items():
         form = canonical_form(g)
-        got[name] = (form.digest, dataclasses.astuple(form.stats))
+        got[name] = (form.digest, _counters(form.stats))
     assert got == FROZEN_RELABELED_FORMS
 
 
@@ -222,6 +227,26 @@ def _check_refinement(g: ColoredGraph, before: list[list[int]],
         for other in cells:
             degrees = {len(g.adj[v] & set(other)) for v in cell}
             assert len(degrees) == 1
+
+
+def test_forms_compare_without_their_counters(w2):
+    form = canonical_form(incidence_graph(w2))
+    other = form._replace(stats=CanonStats())
+    assert form.stats != other.stats
+    assert form == other and not form != other and hash(form) == hash(other)
+    assert form != form._replace(order=form.order[::-1])
+    with pytest.raises(AttributeError):
+        form.digest = ""
+    assert repr(form).startswith("CanonicalForm(size=30, colors=")
+
+    stats = CanonStats(nodes=2, jumps=1)
+    stats.add(CanonStats(1, 2, 3, 4, 5))
+    stats.leaves += 1
+    assert stats == CanonStats(nodes=3, leaves=3, generators=3, orbit_prunes=4, jumps=6)
+    assert repr(stats) == ("CanonStats(nodes=3, leaves=3, generators=3, "
+                           "orbit_prunes=4, jumps=6)")
+    with pytest.raises(TypeError):
+        hash(stats)
 
 
 def test_refinement_is_equitable_and_refines_its_input():
@@ -407,7 +432,7 @@ def check_wrong_witnesses_raise():
     def rotated_for_b(g, budget=None):
         form = canonical_form(g, budget)
         if g is b:
-            form = dataclasses.replace(form, order=form.order[1:] + form.order[:1])
+            form = form._replace(order=form.order[1:] + form.order[:1])
         return form
 
     with mock.patch.object(canon, "canonical_form", rotated_for_b):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -122,6 +123,39 @@ def test_malformed_file_gives_exit_two(tmp_path):
     proc = run("verify", "gq", "bad.inc", cwd=tmp_path)
     assert proc.returncode == 2
     assert "bad.inc:2" in proc.stderr
+
+
+def test_input_digest_is_of_the_file_bytes(w2_file, tmp_path):
+    # the parsers read LF text whatever the file's newlines; the digest is
+    # that of the bytes on disk, as sha256sum prints it
+    lf = w2_file.read_bytes()
+    reports = []
+    for name, newline in (("w2.inc", b"\n"), ("crlf.inc", b"\r\n"), ("cr.inc", b"\r")):
+        data = lf.replace(b"\n", newline)
+        (tmp_path / name).write_bytes(data)
+        proc = run("verify", "gq", name, cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        rep = report_of(proc)
+        assert rep.pop(f"input.{name}.sha256") == hashlib.sha256(data).hexdigest()
+        del rep["elapsed_seconds"]
+        reports.append(rep)
+    assert reports[0]["verified"] == "true"
+    assert reports[1] == reports[2] == reports[0]
+    (tmp_path / "tiny.inc").write_bytes(b"inc 3 1\r\n0 1 2\r\n")
+    rep = report_of(run("verify", "gq", "tiny.inc", cwd=tmp_path))
+    assert rep["input.tiny.inc.sha256"] == \
+        "b93d8cd420ea679197d889991fa459eed44cc1a35e801fbd50348e1ebacf9626"
+
+
+def test_non_utf8_file_gives_exit_two(w2_file, tmp_path):
+    (tmp_path / "bad.inc").write_bytes(b"inc 3 1\n0 \xff 2\n")
+    for args in (("verify", "gq", "bad.inc"), ("canon", "bad.inc"),
+                 ("verify", "ovoid", "w2.inc", "bad.inc")):
+        proc = run(*args, "--report", "rep.txt", cwd=tmp_path)
+        assert proc.returncode == 2, args
+        assert proc.stdout == "", args
+        assert "bad.inc:2:3: not UTF-8 text: byte 0xff" in proc.stderr, args
+        assert not (tmp_path / "rep.txt").exists(), args
 
 
 def test_missing_file_gives_exit_two(tmp_path):
@@ -496,7 +530,8 @@ def test_threads_and_seed_are_rejected(w2_file, tmp_path):
 # ---------------------------------------------------------
 
 # Runs gqd in this interpreter with its report captured, then prints the exit
-# code, the gqdesigns modules loaded and whether dataclasses was loaded.
+# code, the gqdesigns modules loaded and whether dataclasses and hashlib were
+# loaded.
 _IMPORT_PROBE = """
 import contextlib, io, json, runpy, sys
 with contextlib.redirect_stdout(io.StringIO()):
@@ -506,7 +541,7 @@ with contextlib.redirect_stdout(io.StringIO()):
         code = exc.code
 print(json.dumps([code, sorted(m for m in sys.modules
                                if m.startswith("gqdesigns.")),
-                  "dataclasses" in sys.modules]))
+                  "dataclasses" in sys.modules, "hashlib" in sys.modules]))
 """
 
 FILES = {"fileformats", "structures"}
@@ -538,7 +573,7 @@ IMPORT_CASES = [
     (("roundtrip", "gq", "w2.inc", "ov0.ovoid"), MAPS),
     (("roundtrip", "design", "w2.design", "w2.lrs"), MAPS),
     (("prop32", "w2.inc", "ov0.ovoid"), MAPS),
-    (("replicated", "w2.design"), MAPS),
+    (("replicated", "w2.design"), FILES),
     (("payne", "w2.inc", "--point", "0", "--out", "o.inc"), GEOMETRY),
 ]
 
@@ -565,8 +600,27 @@ def test_subcommand_loads_only_what_it_runs(args, modules, import_inputs):
                           capture_output=True, text=True, cwd=import_inputs,
                           env=child_env())
     assert proc.returncode == 0, proc.stderr
-    code, loaded, dataclasses = json.loads(proc.stdout)
+    code, loaded, dataclasses, hashlib = json.loads(proc.stdout)
     assert code in (0, 1), proc.stderr
     assert loaded == sorted(f"gqdesigns.{m}" for m in modules)
-    if modules == FILES:
-        assert not dataclasses
+    assert not dataclasses
+    # only an input file's digest needs OpenSSL, and construct reads none
+    if args[0] == "construct":
+        assert not hashlib
+
+
+def test_library_loads_no_dataclasses():
+    probe = """
+import pkgutil, importlib, json, sys
+import gqdesigns
+names = [m.name for m in pkgutil.iter_modules(gqdesigns.__path__, "gqdesigns.")]
+for name in names:
+    importlib.import_module(name)
+print(json.dumps([names, "dataclasses" in sys.modules]))
+"""
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, env=child_env())
+    assert proc.returncode == 0, proc.stderr
+    names, dataclasses = json.loads(proc.stdout)
+    assert "gqdesigns.canon" in names and "gqdesigns.cli" in names
+    assert not dataclasses

@@ -15,7 +15,6 @@ from gqdesigns.correspondence import (
     RegularTraceReport,
     check_regular_traces,
     design_from_ovoid,
-    detect_replication,
     gq_from_design,
     roundtrip_design,
     roundtrip_gq,
@@ -31,6 +30,7 @@ from gqdesigns.structures import (
     IncidenceStructure,
     LocalResolutionSystem,
     VerificationError,
+    detect_replication,
     verify_bibd,
     verify_gq,
     verify_lrs,

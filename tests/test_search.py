@@ -1,5 +1,7 @@
+import copy
 import hashlib
 import itertools
+import pickle
 import random
 from unittest import mock
 
@@ -162,6 +164,28 @@ def test_budget_accepts_its_bounds():
     assert Budget(max_nodes=0, max_seconds=0).max_nodes == 0
     assert Budget(max_seconds=3).max_seconds == 3
     assert Budget() == Budget(None, None)
+
+
+def test_validated_records_are_frozen_values():
+    for rec, fields in ((Budget(max_nodes=5), (5, None)),
+                        (ExactCoverInstance(2, (frozenset({0, 1}),)),
+                         (2, (frozenset({0, 1}),)))):
+        twin = type(rec)(*fields)
+        assert rec == twin and hash(rec) == hash(twin) == hash(fields)
+        assert rec != fields
+        assert copy.copy(rec) == copy.deepcopy(rec) == pickle.loads(pickle.dumps(rec)) == rec
+        for name in rec.__slots__:
+            with pytest.raises(AttributeError):
+                setattr(rec, name, None)
+            with pytest.raises(AttributeError):
+                delattr(rec, name)
+    assert Budget(max_nodes=5) != Budget(max_seconds=5)
+    assert repr(Budget(max_seconds=1.5)) == "Budget(max_nodes=None, max_seconds=1.5)"
+    assert repr(ExactCoverInstance(1, ())) == "ExactCoverInstance(universe=1, candidates=())"
+    res = SearchResult([], True, 3)
+    assert res == SearchResult(solutions=[], exhausted=True, nodes=3, budget_exceeded=False)
+    with pytest.raises(AttributeError):
+        res.nodes = 4
 
 
 @pytest.mark.parametrize("every, reads", [(1, 9), (4, 3), (1024, 1)])

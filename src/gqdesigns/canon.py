@@ -1,10 +1,16 @@
 """Canonical labeling of colored graphs, for isomorphism of structures.
 
 The engine is individualization-refinement: refine an ordered partition to
-equitability, branch on one vertex of the first smallest non-singleton cell,
-and keep the lexicographically least (refinement trace, relabeled adjacency)
-over all leaves.  Subtrees whose trace already compares worse than the best
-leaf are cut.  Automorphisms prune the rest, as in McKay & Piperno,
+equitability, branch on each vertex of one target cell, and keep the
+lexicographically least (refinement trace, relabeled adjacency) over all
+leaves.  The target is the first non-singleton cell joined non-trivially to
+the most non-singleton cells, bliss's "fm" rule (Junttila & Kaski,
+"Engineering an efficient canonical labeling tool for large and sparse
+graphs", ALENEX 2007).  Refinement queues all but the largest piece of a
+split cell, as in Hopcroft's "An n log n algorithm for minimizing states in
+a finite automaton" (1971), so a child, its parent already equitable,
+refines by the one vertex it individualized.  Subtrees whose trace already
+compares worse than the best leaf are cut.  Automorphisms prune the rest, as in McKay & Piperno,
 "Practical graph isomorphism, II" (J. Symb. Comput. 60, 2014):
 
 * a leaf equal to the first leaf or to the best leaf gives an automorphism;
@@ -53,18 +59,23 @@ class CanonStats(_Record):
     nodes: search nodes entered, the root and leaves included.  leaves:
     discrete partitions reached.  generators: automorphisms found.
     orbit_prunes: children skipped as images of a searched sibling.  jumps:
-    nodes left early after a new automorphism.
+    nodes left early after a new automorphism.  splitters: cells that
+    refinement split others by.  splits: cells refinement split.
     """
 
-    __slots__ = ("nodes", "leaves", "generators", "orbit_prunes", "jumps")
+    __slots__ = ("nodes", "leaves", "generators", "orbit_prunes", "jumps",
+                 "splitters", "splits")
 
     def __init__(self, nodes: int = 0, leaves: int = 0, generators: int = 0,
-                 orbit_prunes: int = 0, jumps: int = 0):
+                 orbit_prunes: int = 0, jumps: int = 0, splitters: int = 0,
+                 splits: int = 0):
         self.nodes = nodes
         self.leaves = leaves
         self.generators = generators
         self.orbit_prunes = orbit_prunes
         self.jumps = jumps
+        self.splitters = splitters
+        self.splits = splits
 
     def add(self, other: CanonStats) -> None:
         for name in self.__slots__:
@@ -163,9 +174,11 @@ def design_graph(d: Design) -> ColoredGraph:
     return build_graph(v + len(contents), edges, colors)
 
 
-def _refine(adj, cells: dict[int, list[int]], trace: list[int], work) -> None:
-    """Split cells by neighbor counts into splitters, the cells of work
-    first, until the partition is equitable.
+def _refine(adj, cells: dict[int, list[int]], trace: list[int], work,
+            stats: CanonStats) -> dict[int, int]:
+    """Split cells by neighbor counts into splitters, the cells whose starts
+    work lists first, until the partition is equitable; returns the map from
+    each vertex of a non-singleton cell to its cell's start.
 
     cells maps each cell's start to the cell and is updated in place.  A
     split puts its pieces, in count order, at the cell's own start onward,
@@ -173,21 +186,25 @@ def _refine(adj, cells: dict[int, list[int]], trace: list[int], work) -> None:
     order, which is their order in the partition.  The split events (cell
     start, count, part size, ...) go to the trace, which is what search
     ordering compares; start stands in for the cell's index because it
-    grows with it (see the module docstring).  Only cells meeting a
-    splitter's neighborhood are examined, and the worklist drains as soon
-    as the partition is discrete.
+    grows with it (see the module docstring).  A split cell still waiting
+    to split others queues all its pieces; any other queues all but its
+    first largest piece, whose counts follow from the whole cell's and the
+    other pieces' (Hopcroft's rule).  Only cells meeting a splitter's
+    neighborhood are examined, and the worklist drains as soon as the
+    partition is discrete.
     """
     n = len(adj)
-    cell_at: dict[int, int] = {}   # vertex of a non-singleton cell -> start
-    for start, cell in cells.items():
-        if len(cell) > 1:
-            for x in cell:
-                cell_at[x] = start
+    cell_at = {x: start for start, cell in cells.items() if len(cell) > 1
+               for x in cell}
     work = deque(work)
+    queued = set(work)
+    splitters = splits = 0
     while work and len(cells) < n:
         splitter = work.popleft()
+        queued.discard(splitter)
+        splitters += 1
         cnt: dict[int, int] = {}
-        for u in splitter:
+        for u in cells[splitter]:
             for w in adj[u]:
                 cnt[w] = cnt.get(w, 0) + 1
         starts = {cell_at[w] for w in cnt if w in cell_at}
@@ -197,9 +214,12 @@ def _refine(adj, cells: dict[int, list[int]], trace: list[int], work) -> None:
                 parts.setdefault(cnt.get(x, 0), []).append(x)
             if len(parts) == 1:
                 continue
+            splits += 1
             trace.append(-1)
             trace.append(start)
-            for key in sorted(parts):
+            keys = sorted(parts)
+            largest = None if start in queued else max(keys, key=lambda k: len(parts[k]))
+            for key in keys:
                 piece = parts[key]
                 cells[start] = piece
                 trace.append(key)
@@ -209,8 +229,31 @@ def _refine(adj, cells: dict[int, list[int]], trace: list[int], work) -> None:
                         cell_at[x] = start
                 else:
                     del cell_at[piece[0]]
+                if key != largest and start not in queued:
+                    queued.add(start)
+                    work.append(start)
                 start += len(piece)
-                work.append(piece)
+    stats.splitters += splitters
+    stats.splits += splits
+    return cell_at
+
+
+def _target(adj, cells: dict[int, list[int]], cell_at: dict[int, int]) -> int:
+    """Start of the first non-singleton cell joined non-trivially (some but
+    not all members adjacent) to the most non-singleton cells; cell_at is
+    _refine's map.  The partition is equitable, so one member stands for its
+    cell."""
+    most, target = -1, 0
+    for start in sorted(s for s, cell in cells.items() if len(cell) > 1):
+        cnt: dict[int, int] = {}
+        for w in adj[cells[start][0]]:
+            other = cell_at.get(w)
+            if other is not None:
+                cnt[other] = cnt.get(other, 0) + 1
+        joined = sum(c < len(cells[other]) for other, c in cnt.items())
+        if joined > most:
+            most, target = joined, start
+    return target
 
 
 def _leaf(adj, cells):
@@ -248,7 +291,7 @@ def canonical_form(g: ColoredGraph,
     colored = [by_color[key] for key in sorted(by_color)]
     cells0 = dict(zip(accumulate(map(len, colored), initial=0), colored))
     trace0: list[int] = []
-    _refine(adj, cells0, trace0, colored)
+    at0 = _refine(adj, cells0, trace0, list(cells0), stats)
 
     # a leaf is (trace, rows, order, path)
     first: Optional[tuple] = None
@@ -261,8 +304,8 @@ def canonical_form(g: ColoredGraph,
     # found below the current node restores tightness for later siblings.
     # Returns the depth at which the search resumes: len(path) normally, less
     # when a new automorphism shows that the subtree there was searched.
-    def rec(cells: dict[int, list[int]], trace: list[int], base: int,
-            tight: bool, path: list[int]) -> int:
+    def rec(cells: dict[int, list[int]], cell_at: dict[int, int],
+            trace: list[int], base: int, tight: bool, path: list[int]) -> int:
         nonlocal best, first, version
         meter.tick()
         depth = len(path)
@@ -306,8 +349,7 @@ def canonical_form(g: ColoredGraph,
         fixing: list[list[int]] = []
         merged = 0
         covered: set[int] = set()
-        # branch on the first smallest non-singleton cell
-        _, start = min((len(cell), s) for s, cell in cells.items() if len(cell) > 1)
+        start = _target(adj, cells, cell_at)
         cell = cells[start]
         for v in cell:
             if merged < len(gens):
@@ -321,16 +363,15 @@ def canonical_form(g: ColoredGraph,
                 continue
             covered.add(v)
             _close(covered, [v], fixing)
-            fresh = [[v], [x for x in cell if x != v]]
             child = dict(cells)
-            child[start], child[start + 1] = fresh
+            child[start], child[start + 1] = [v], [x for x in cell if x != v]
             child_trace = list(trace)
             child_trace.append(-2)
             child_trace.append(start)
-            _refine(adj, child, child_trace, fresh)
+            child_at = _refine(adj, child, child_trace, [start], stats)
             here = version
             path.append(v)
-            resume = rec(child, child_trace, len(trace), tight, path)
+            resume = rec(child, child_at, child_trace, len(trace), tight, path)
             path.pop()
             if resume < depth:
                 stats.jumps += 1
@@ -340,7 +381,7 @@ def canonical_form(g: ColoredGraph,
         return depth
 
     try:
-        rec(cells0, trace0, 0, True, [])
+        rec(cells0, at0, trace0, 0, True, [])
     except _Stop:
         raise BudgetExceeded(stats) from None
     finally:

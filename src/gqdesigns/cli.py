@@ -387,6 +387,8 @@ def _canon_counts(stats: CanonStats, rep: Report) -> None:
     rep.add("nodes", stats.nodes)
     rep.add("leaves", stats.leaves)
     rep.add("generators", stats.generators)
+    rep.add("splitters", stats.splitters)
+    rep.add("splits", stats.splits)
 
 
 def _canon_cut(stats: CanonStats, rep: Report) -> int:

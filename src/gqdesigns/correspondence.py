@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from typing import NamedTuple, Optional, Sequence
 
-from .geometry import is_regular_pair
 from .structures import (Design, DesignParams, GQParams, IncidenceStructure,
                          LocalResolutionSystem, _bits, verify_bibd, verify_gq,
                          verify_non_triangular, verify_ovoid)
@@ -214,6 +213,8 @@ def check_regular_traces(s: IncidenceStructure, ovoid) -> RegularTraceReport:
     members decides the group.  The witness of x is the lowest other member
     of its group.
     """
+    from .geometry import is_regular_pair  # the maps need no field arithmetic
+
     ovoid = frozenset(ovoid)  # read an iterator once
     params = _verify_gq_with_ovoid(s, ovoid)
     o_mask = sum(1 << p for p in ovoid)

@@ -1,8 +1,10 @@
 """Line-oriented text formats for incidence structures, designs, ovoids, and
 local resolution systems.
 
-All indices are 0-based.  Lines starting with `#` and blank lines are
-ignored on input.  Writers emit LF newlines, sorted indices, and no
+All indices are 0-based.  A line ends at LF and nowhere else, so line
+numbers count LFs; other whitespace, a CR before the LF included, only
+separates tokens.  Lines starting with `#` and blank lines are ignored on
+input.  Writers emit LF newlines, sorted indices, and no
 comments, so writing a parsed file reproduces it byte for byte.
 """
 
@@ -26,7 +28,7 @@ class _Reader:
     def __init__(self, text: str, path: str):
         self.path = path
         self.rows: list[tuple[int, str]] = []
-        for lineno, raw in enumerate(text.splitlines(), start=1):
+        for lineno, raw in enumerate(text.split("\n"), start=1):
             stripped = raw.strip()
             if not stripped or stripped.startswith("#"):
                 continue

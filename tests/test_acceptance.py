@@ -194,6 +194,24 @@ def test_gf16_system_builds_the_derived_quadrangle():
     print(f"GF(16) system -> GQ(3,5) matches the derived quadrangle ({dt:.2f}s)")
 
 
+def test_gf64_system_builds_the_derived_quadrangle():
+    # two 1152-vertex graphs; a budget cut raises BudgetExceeded
+    elapsed = clock()
+    d, system = sprott_lrs(8)
+    s = gq_from_design(d, system).structure
+    assert verify_gq(s) == GQParams(7, 9)
+    assert s.point_count == 512 and len(s.lines) == 640
+    target = payne_derivation(symplectic_gq(8), 0)
+    ok, mapping = gq_isomorphic(s, target, budget=Budget(max_nodes=2000))
+    assert ok
+    assert sorted(mapping) == list(range(512))
+    assert sorted(mapping.values()) == list(range(512))
+    moved = sorted(sorted(mapping[x] for x in line) for line in s.lines)
+    assert moved == sorted(sorted(line) for line in target.lines)
+    dt = elapsed()
+    assert dt < 60.0
+    print(f"GF(64) system -> GQ(7,9) matches the derived quadrangle ({dt:.2f}s)")
+
 def test_difference_design_gf9_is_three_planes():
     elapsed = clock()
     _, d = sprott_design(3, 2, 3)

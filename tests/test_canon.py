@@ -138,31 +138,30 @@ def test_canonical_form_visits_few_leaves():
         assert stats.generators >= 1
 
 
-def _counters(stats) -> tuple[int, int, int, int, int]:
+def _counters(stats) -> tuple[int, ...]:
     return (stats.nodes, stats.leaves, stats.generators, stats.orbit_prunes,
-            stats.jumps)
+            stats.jumps, stats.splitters, stats.splits)
 
 
-# digest and CanonStats (nodes, leaves, generators, orbit_prunes, jumps) as
-# computed before the orbit bookkeeping changed; the ovoid is the first that
-# find_ovoids returns on W(2)
+# digest and CanonStats (nodes, leaves, generators, orbit_prunes, jumps,
+# splitters, splits); the ovoid is the first that find_ovoids returns on W(2)
 FROZEN_FORMS = {
-    "W(2)": ("6c59613bf10ff484c73d8f9d1677121157fdd58a79ea56272b60f6ec63ec331b",
-             (28, 7, 6, 14, 15)),
-    "W(3)": ("459ac40f4c45a6f3392f1c26f753b310fd61927b285092547338cd2249943ab4",
-             (45, 9, 8, 44, 28)),
-    "Q(4,3)": ("5b81eba27d9c7717be4d2f3387fe3fa2aab50adef11c0687dea0b6697d231284",
-               (45, 9, 8, 44, 28)),
-    "H(3,4)": ("8fdce666cec0a1f29075ae7bd31fc5c94cb5e0587b353e59c39fb40d2d6aff13",
-               (55, 10, 9, 31, 36)),
-    "W(4)": ("f8b7fd47ef017f6c53c2223bff47d83c72b3c61dd990693fa04115e7736e6896",
-             (87, 12, 11, 127, 44)),
-    "AG(2,4)": ("257fc949c4d39b3dcf1805a5879f942aab785a41f13a5683faaed2e338d6e6c8",
-                (37, 9, 7, 23, 20)),
-    "GF(9), lambda 3": ("aaeed3abb25f7907b091cef524f856cc004f636642c011e8b33f16107fddd8d3",
-                        (21, 6, 5, 10, 10)),
-    "W(2), one ovoid": ("c57fb0e1a902b5f8f4629af2777c1a0206c3a37945f4957cb64a50b06552da01",
-                        (21, 6, 5, 4, 10)),
+    "W(2)": ("d324029df253087eec86ef43f9fb8f409d34dacb55c962e6447fc3c6b72c4207",
+             (14, 7, 6, 20, 4, 137, 150)),
+    "W(3)": ("7b9a33410c73366038ea6b60427e063d7535a3a80ed8697bd58ba8f227e26a51",
+             (23, 9, 8, 71, 10, 420, 578)),
+    "Q(4,3)": ("1a275030dfaad277cf1b399eb061106b1a9e04a93f6bc9361fcde71311d2820b",
+               (23, 9, 8, 71, 10, 537, 578)),
+    "H(3,4)": ("425f16164856481f264ac9137bdf714b80c0cfc367e314833768a0b5802be591",
+               (31, 9, 8, 65, 17, 421, 481)),
+    "W(4)": ("c1bcbda5c12ad3ac712133478e813a4f3a2766b7dad8363c1c9367ac29c67eae",
+             (24, 10, 9, 174, 10, 1249, 1527)),
+    "AG(2,4)": ("1b8c8cadded33ec004a189551173a10937d3a898440d1cc9a82399ad27096ea5",
+                (22, 8, 7, 34, 10, 180, 205)),
+    "GF(9), lambda 3": ("7e953d2b5c29609fce4c6dd4beac230c0f0c6f52cb1f900fc928fca49bc490b7",
+                        (13, 6, 5, 15, 4, 80, 84)),
+    "W(2), one ovoid": ("ce85e3c771c09b61e110b0b8bae2b8fd48c4729025d5cb0e6a594d38fce23555",
+                        (9, 5, 4, 17, 2, 96, 115)),
 }
 
 
@@ -185,12 +184,12 @@ def test_frozen_forms_and_counters(w2, w2_ovoids):
     assert got == FROZEN_FORMS
 
 
-# the same, measured before cells were named by their start, on W(4) and
-# AG(2,4) relabeled by random.Random(17) in that order: other leaves are
-# searched than as built, and the digests are those of the built forms
+# the same on W(4) and AG(2,4) relabeled by random.Random(17) in that order:
+# other leaves are searched than as built, and the digests are those of the
+# built forms
 FROZEN_RELABELED_FORMS = {
-    "W(4)": (FROZEN_FORMS["W(4)"][0], (113, 12, 11, 126, 44)),
-    "AG(2,4)": (FROZEN_FORMS["AG(2,4)"][0], (45, 13, 7, 35, 20)),
+    "W(4)": (FROZEN_FORMS["W(4)"][0], (22, 9, 8, 175, 9, 1121, 1371)),
+    "AG(2,4)": (FROZEN_FORMS["AG(2,4)"][0], (17, 6, 5, 36, 7, 133, 151)),
 }
 
 
@@ -206,6 +205,16 @@ def test_frozen_relabeled_forms_and_counters():
         got[name] = (form.digest, _counters(form.stats))
     assert got == FROZEN_RELABELED_FORMS
 
+
+def test_relabeled_w5_forms_agree_within_a_node_cap():
+    # W(5) is a 312-vertex graph; a search over 200 nodes raises
+    # BudgetExceeded
+    w5 = symplectic_gq(5)
+    graphs = [incidence_graph(w5)]
+    graphs += [incidence_graph(_relabel_structure(w5, random.Random(seed)))
+               for seed in (5, 6, 7)]
+    digests = {canonical_form(g, Budget(max_nodes=200)).digest for g in graphs}
+    assert len(digests) == 1
 
 def _check_refinement(g: ColoredGraph, before: list[list[int]],
                       after: dict[int, list[int]]) -> None:
@@ -244,7 +253,7 @@ def test_forms_compare_without_their_counters(w2):
     stats.leaves += 1
     assert stats == CanonStats(nodes=3, leaves=3, generators=3, orbit_prunes=4, jumps=6)
     assert repr(stats) == ("CanonStats(nodes=3, leaves=3, generators=3, "
-                           "orbit_prunes=4, jumps=6)")
+                           "orbit_prunes=4, jumps=6, splitters=0, splits=0)")
     with pytest.raises(TypeError):
         hash(stats)
 
@@ -263,10 +272,10 @@ def test_refinement_is_equitable_and_refines_its_input():
         for cell in before:
             cells[start] = cell
             start += len(cell)
-        canon._refine(g.adj, cells, [], before)
+        canon._refine(g.adj, cells, [], list(cells), CanonStats())
         _check_refinement(g, before, cells)
         # individualize one vertex of a non-singleton cell, as a search
-        # node does, and refine from the two new cells only
+        # node does, and refine from the singleton only
         big = [start for start, cell in cells.items() if len(cell) > 1]
         if not big:
             continue
@@ -277,7 +286,7 @@ def test_refinement_is_equitable_and_refines_its_input():
         child = dict(cells)
         child[start], child[start + 1] = fresh
         before = [child[s] for s in sorted(child)]
-        canon._refine(g.adj, child, [], fresh)
+        canon._refine(g.adj, child, [], [start], CanonStats())
         _check_refinement(g, before, child)
 
 

@@ -314,9 +314,24 @@ def test_canon_and_iso_report_refinements(w2_file, tmp_path):
         assert "refines" not in rep
     # the search enters each node after refining its partition once, so
     # nodes also counts the refinements
-    assert int(a["nodes"]) == 28
+    assert int(a["nodes"]) == 14
     assert int(b["nodes"]) == 2 * int(a["nodes"])
 
+
+def test_canon_and_iso_report_refinement_work(w2_file, tmp_path):
+    run("dual", "w2.inc", "--out", "dw2.inc", cwd=tmp_path)
+    a = report_of(run("canon", "w2.inc", cwd=tmp_path))
+    b = report_of(run("canon", "dw2.inc", cwd=tmp_path))
+    proc = run("iso", "w2.inc", "dw2.inc", cwd=tmp_path)
+    assert proc.returncode == 0
+    both = report_of(proc)
+    for rep in (a, b, both):
+        keys = list(rep)
+        at = keys.index("generators")
+        assert keys[at:at + 3] == ["generators", "splitters", "splits"]
+    for key in ("splitters", "splits"):
+        assert int(a[key]) > 0
+        assert int(both[key]) == int(a[key]) + int(b[key])
 
 def test_iso_on_marked_quadrangles(w2_file, tmp_path):
     run("ovoids", "w2.inc", "--out", "ov", cwd=tmp_path)
@@ -568,10 +583,10 @@ IMPORT_CASES = [
     (("iso", "w2.inc", "w2.inc", "--ovoid-a", "ov0.ovoid",
       "--ovoid-b", "ov1.ovoid"), CANON),
     (("iso", "w2.design", "w2.design"), CANON),
-    (("map-n", "w2.inc", "ov0.ovoid", "--design-out", "o.design"), MAPS),
-    (("map-m", "w2.design", "w2.lrs", "--inc-out", "o.inc"), MAPS),
-    (("roundtrip", "gq", "w2.inc", "ov0.ovoid"), MAPS),
-    (("roundtrip", "design", "w2.design", "w2.lrs"), MAPS),
+    (("map-n", "w2.inc", "ov0.ovoid", "--design-out", "o.design"), FILES | {"correspondence"}),
+    (("map-m", "w2.design", "w2.lrs", "--inc-out", "o.inc"), FILES | {"correspondence"}),
+    (("roundtrip", "gq", "w2.inc", "ov0.ovoid"), FILES | {"correspondence"}),
+    (("roundtrip", "design", "w2.design", "w2.lrs"), FILES | {"correspondence"}),
     (("prop32", "w2.inc", "ov0.ovoid"), MAPS),
     (("replicated", "w2.design"), FILES),
     (("payne", "w2.inc", "--point", "0", "--out", "o.inc"), GEOMETRY),

@@ -8,7 +8,7 @@ from unittest import mock
 
 import pytest
 
-from gqdesigns import canon, correspondence, structures
+from gqdesigns import canon, correspondence, geometry, structures
 from gqdesigns.canon import designs_isomorphic, gq_isomorphic
 from gqdesigns.correspondence import (
     OvoidLabeledGQ,
@@ -307,7 +307,7 @@ def test_regular_traces_test_one_pair_per_block(gq42):
     for o in find_ovoids(gq42, limit=20).solutions:
         blocks = {gq42.neighbor_masks[x] & sum(1 << p for p in o)
                   for x in range(gq42.point_count) if x not in o}
-        with mock.patch.object(correspondence, "is_regular_pair",
+        with mock.patch.object(geometry, "is_regular_pair",
                                wraps=is_regular_pair) as spy, \
                 mock.patch.object(correspondence, "Design", forbid), \
                 mock.patch.object(correspondence, "LocalResolutionSystem", forbid):

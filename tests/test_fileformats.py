@@ -85,6 +85,18 @@ def test_comments_and_blank_lines_ignored():
     assert o == frozenset({0, 2})
 
 
+@pytest.mark.parametrize("sep", ["\f", "\x85", "\u2028"])
+def test_lines_end_at_line_feed_only(sep):
+    # str.splitlines() would also break a line at each of these
+    assert parse_ovoid(f"ovoid 3\n0 1{sep}2\n") == frozenset({0, 1, 2})
+    text = f"# a{sep}0 1 2\ninc 3 1\n0{sep}1 2\n# b{sep}x\n"
+    assert parse_incidence(text).lines == ((0, 1, 2),)
+    # a later row's line number is the count of line feeds before it, plus 1
+    _expect_error(parse_incidence, f"inc 3 2\n# c{sep}d\n0 1\n0{sep}1 1\n", 4,
+                  "repeats")
+    with pytest.raises(FormatError, match=r"^x:3:3: expected an integer, got 'z'$"):
+        parse_ovoid(f"# c{sep}d\novoid 2\n0{sep}z\n", "x")
+
 def test_parse_structure_reads_the_kind_its_header_names():
     s = parse_structure("# a structure\n\ninc 3 1\n  # note\n0 1 2\n", "x")
     assert type(s) is IncidenceStructure and s.lines == ((0, 1, 2),)

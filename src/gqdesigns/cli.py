@@ -12,7 +12,6 @@ loads and compiles only what its subcommand uses.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 import time
 from typing import TYPE_CHECKING
@@ -96,21 +95,14 @@ def _count(text: str) -> int:
     return value
 
 
-def _seconds(text: str) -> float:
-    """--budget: a finite number of seconds, 0 or more."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not 0 <= value < math.inf:
-        raise argparse.ArgumentTypeError(
-            f"expected a finite number of seconds >= 0, got {text!r}")
-    return value
-
-
-def _budget(args) -> Budget | None:
+def _seconds(text: str) -> Budget:
+    """--budget: a wall-clock Budget of a finite number of seconds, 0 or more."""
     from .search import Budget
-    return None if args.budget is None else Budget(max_seconds=args.budget)
+    try:
+        return Budget(max_seconds=float(text))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected a finite number of seconds >= 0, got {text!r}") from None
 
 
 def _search_exit(result, rep: Report, out: str | None, write, ext: str) -> int:
@@ -131,65 +123,59 @@ def _search_exit(result, rep: Report, out: str | None, write, ext: str) -> int:
 # --- construct -----------------------------------------------------------
 
 def cmd_construct(args, rep: Report) -> int:
-    from .field import field_of_order
-    fam = args.family
-    q = args.q
+    fam, q, with_lrs = args.family, args.q, args.with_lrs
     rep.add("family", fam)
     rep.add("q", q)
     if fam != "sprott":
         if args.lam is not None:
             raise UsageError("--lambda only applies to --family sprott")
-        if args.with_lrs:
+        if with_lrs:
             raise UsageError("--with-lrs only applies to --family sprott")
-    if args.lrs_out is not None and not args.with_lrs:
+    if args.lrs_out is not None and not with_lrs:
         raise UsageError("--lrs-out only applies with --with-lrs")
-    try:
-        field = field_of_order(q)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-
-    if fam in ("W", "Q4", "H3"):
-        from .geometry import hermitian_gq, parabolic_gq, symplectic_gq
-        maker = {"W": symplectic_gq, "Q4": parabolic_gq, "H3": hermitian_gq}[fam]
-        s = maker(q)
-        _report_gq(s, rep)
-        _write_text(args.out, write_incidence(s), rep, "output.incidence")
-        return 0
-
-    from .sprott import affine_plane, sprott_design, sprott_lrs
-    if fam == "AG":
-        d = affine_plane(q)
-        _report_design(d, rep, allow_degenerate=True)
-        _write_text(args.out, write_design(d), rep, "output.design")
-        return 0
-
-    # sprott
-    if args.with_lrs:
+    if with_lrs:
         if args.lam is not None and args.lam != q + 2:
             raise UsageError(f"--with-lrs fixes --lambda at q + 2 = {q + 2}")
         if args.lrs_out is None:
             raise UsageError("--with-lrs requires --lrs-out")
-        try:
-            d, system = sprott_lrs(q)
-        except ValueError as exc:
-            raise UsageError(f"--with-lrs: {exc}") from exc
-        _report_design(d, rep)
-        witness = verify_non_triangular(d, system)
-        rep.add("non_triangular", witness is None)
-        _write_text(args.out, write_design(d), rep, "output.design")
-        _write_text(args.lrs_out, write_lrs(system), rep, "output.lrs")
-        return 0 if witness is None else 1
-
-    if args.lam is None:
+    elif fam == "sprott" and args.lam is None:
         raise UsageError("--family sprott requires --lambda")
+
+    # each builder checks q itself; its ValueError is a usage error
     try:
-        _, d = sprott_design(field.p, field.a, args.lam)
+        if fam in ("W", "Q4", "H3"):
+            from .geometry import hermitian_gq, parabolic_gq, symplectic_gq
+            maker = {"W": symplectic_gq, "Q4": parabolic_gq, "H3": hermitian_gq}[fam]
+            built = maker(q)
+        elif fam == "AG":
+            from .sprott import affine_plane
+            built = affine_plane(q)
+        elif with_lrs:
+            from .sprott import sprott_lrs
+            built, system = sprott_lrs(q)
+        else:
+            from .field import field_of_order
+            from .sprott import sprott_design
+            field = field_of_order(q)
+            built = sprott_design(field.p, field.a, args.lam)[1]
     except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-    rep.add("lambda", args.lam)
-    _report_design(d, rep)
-    _write_text(args.out, write_design(d), rep, "output.design")
-    return 0
+        raise UsageError(f"--with-lrs: {exc}" if with_lrs else str(exc)) from exc
+
+    if fam in ("W", "Q4", "H3"):
+        _report_gq(built, rep)
+        _write_text(args.out, write_incidence(built), rep, "output.incidence")
+        return 0
+    if fam == "sprott" and not with_lrs:
+        rep.add("lambda", args.lam)
+    _report_design(built, rep, allow_degenerate=fam == "AG")
+    witness = None
+    if with_lrs:
+        witness = verify_non_triangular(built, system)
+        rep.add("non_triangular", witness is None)
+    _write_text(args.out, write_design(built), rep, "output.design")
+    if with_lrs:
+        _write_text(args.lrs_out, write_lrs(system), rep, "output.lrs")
+    return 0 if witness is None else 1
 
 
 def _report_gq(s, rep: Report) -> None:
@@ -252,14 +238,14 @@ def cmd_verify(args, rep: Report) -> int:
 def cmd_ovoids(args, rep: Report) -> int:
     from .search import find_ovoids
     s = _load(args.incidence, parse_incidence, rep)
-    result = find_ovoids(s, limit=args.limit or None, budget=_budget(args))
+    result = find_ovoids(s, limit=args.limit or None, budget=args.budget)
     return _search_exit(result, rep, args.out, write_ovoid, "ovoid")
 
 
 def cmd_ntlrs(args, rep: Report) -> int:
     from .search import find_ntlrs
     d = _load(args.design, parse_design, rep)
-    result = find_ntlrs(d, limit=args.limit or None, budget=_budget(args))
+    result = find_ntlrs(d, limit=args.limit or None, budget=args.budget)
     return _search_exit(result, rep, args.out, write_lrs, "lrs")
 
 
@@ -407,7 +393,7 @@ def cmd_canon(args, rep: Report) -> int:
              else design_graph(structure))
     rep.add("kind", kind)
     try:
-        form = canonical_form(graph, _budget(args))
+        form = canonical_form(graph, args.budget)
     except BudgetExceeded as exc:
         return _canon_cut(exc.stats, rep)
     rep.add("digest", form.digest)
@@ -433,7 +419,7 @@ def cmd_iso(args, rep: Report) -> int:
         decide, pair = designs_isomorphic, (a, b)
     stats = CanonStats()
     try:
-        ok, mapping = decide(*pair, budget=_budget(args), stats=stats)
+        ok, mapping = decide(*pair, budget=args.budget, stats=stats)
     except BudgetExceeded:
         return _canon_cut(stats, rep)
     rep.add("isomorphic", ok)
@@ -472,8 +458,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", required=True,
                    choices=["W", "Q4", "H3", "AG", "sprott"])
     p.add_argument("--q", type=int, required=True, metavar="N",
-                   help="field order (for sprott --with-lrs: the square root "
-                        "of the point count)")
+                   help="field order (for H3: its square is; for sprott "
+                        "--with-lrs: the square root of the point count)")
     p.add_argument("--lambda", type=int, dest="lam", metavar="L",
                    help="pair multiplicity, sprott family only")
     p.add_argument("--with-lrs", action="store_true",

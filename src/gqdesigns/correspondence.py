@@ -98,16 +98,15 @@ def design_from_ovoid(s: IncidenceStructure, ovoid
 
 
 def _factor_parameters(params: DesignParams) -> tuple[int, int]:
-    t = params.k - 1
+    """The order (s, t) with v = 1 + st and k = lam = 1 + t, of a design that
+    passed verify_bibd, so 3 <= k < v.  Only lam = k needs checking: then
+    r(k - 1) = k(v - 1) and k - 1 is coprime to k, so t = k - 1 >= 2 divides
+    v - 1, and s = (v - 1)/t > 1 since v > k."""
     if params.lam != params.k:
         raise ValueError(
             f"block size {params.k} and pair count {params.lam} must agree")
-    if t < 1 or (params.v - 1) % t:
-        raise ValueError(f"no integer order fits v={params.v}, k={params.k}")
-    s_order = (params.v - 1) // t
-    if s_order < 2 or t < 2:
-        raise ValueError(f"order ({s_order},{t}) needs s and t above 1")
-    return s_order, t
+    t = params.k - 1
+    return (params.v - 1) // t, t
 
 
 def _gq_from_design(d: Design, system: LocalResolutionSystem) -> OvoidLabeledGQ:

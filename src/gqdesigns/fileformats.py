@@ -87,12 +87,17 @@ def _header(reader: _Reader, keyword: str, arity: int) -> list[int]:
     return vals
 
 
-def _parse_rows(text: str, path: str, keyword: str, noun: str, make,
-                same_size: bool = False):
-    """make(point count, rows) from the header's point count and the rows it
+# each row format's header word: what one row is called, the class built from
+# the rows, and whether all rows have one size
+_ROWS = {"inc": ("line", IncidenceStructure, False),
+         "design": ("block", Design, True)}
+
+
+def _parse_rows(reader: _Reader, keyword: str):
+    """The structure built from the header's point count and the rows it
     promises, each a list of distinct point indices, and all as long as the
-    first if same_size; noun names one row in messages."""
-    reader = _Reader(text, path)
+    first where the format says so."""
+    noun, make, same_size = _ROWS[keyword]
     points, nrows = _header(reader, keyword, 2)
     rows = []
     for _ in range(nrows):
@@ -113,11 +118,11 @@ def _parse_rows(text: str, path: str, keyword: str, noun: str, make,
 
 
 def parse_incidence(text: str, path: str = "<incidence>") -> IncidenceStructure:
-    return _parse_rows(text, path, "inc", "line", IncidenceStructure)
+    return _parse_rows(_Reader(text, path), "inc")
 
 
 def parse_design(text: str, path: str = "<design>") -> Design:
-    return _parse_rows(text, path, "design", "block", Design, same_size=True)
+    return _parse_rows(_Reader(text, path), "design")
 
 
 def parse_structure(text: str, path: str = "<structure>") -> IncidenceStructure:
@@ -125,9 +130,10 @@ def parse_structure(text: str, path: str = "<structure>") -> IncidenceStructure:
     reader = _Reader(text, path)
     lineno, raw = reader.take("an 'inc' or 'design' header")
     word = raw.split()[0]
-    if word not in ("inc", "design"):
+    if word not in _ROWS:
         reader.fail(lineno, 1, f"unrecognised header {word!r}")
-    return (parse_incidence if word == "inc" else parse_design)(text, path)
+    reader.at = 0  # the header is read again, as the format's own
+    return _parse_rows(reader, word)
 
 
 def parse_ovoid(text: str, path: str = "<ovoid>") -> frozenset[int]:
@@ -170,6 +176,8 @@ def parse_lrs(text: str, path: str = "<lrs>") -> LocalResolutionSystem:
             members = _ints(reader, lineno, raw, expect_word="class")
             if not members:
                 reader.fail(lineno, 1, "empty class")
+            if len(set(members)) != len(members):
+                reader.fail(lineno, 1, "class repeats an instance")
             current.append(members)
         else:
             reader.fail(lineno, 1, f"expected 'point' or 'class', got {word!r}")

@@ -291,9 +291,15 @@ def test_refinement_is_equitable_and_refines_its_input():
 
 
 def test_budget_cuts_canonical_form():
+    g = incidence_graph(symplectic_gq(3))
     with pytest.raises(BudgetExceeded) as cut:
-        canonical_form(incidence_graph(symplectic_gq(3)), Budget(max_nodes=1))
+        canonical_form(g, Budget(max_nodes=1))
     assert cut.value.stats.nodes == 2
+    # a cut isomorphism test still adds the cut form's counters
+    stats = CanonStats()
+    with pytest.raises(BudgetExceeded):
+        are_isomorphic(g, g, Budget(max_nodes=1), stats)
+    assert stats == cut.value.stats and stats.nodes == 2
 
 
 # ---------------------------------------------------------
@@ -384,6 +390,13 @@ def test_ovoids_must_come_in_pairs(w2, w2_ovoids):
 def test_edges_must_join_vertices_of_the_graph(edge):
     with pytest.raises(ValueError, match=rf"edge \({edge[0]}, {edge[1]}\) has a vertex outside 0..2"):
         build_graph(3, [(0, 1), edge], [0] * 3)
+
+
+def test_graphs_refuse_loops_and_short_colorings():
+    with pytest.raises(ValueError, match="^loops are not supported$"):
+        build_graph(3, [(0, 1), (2, 2)], [0] * 3)
+    with pytest.raises(ValueError, match="^need one color per vertex$"):
+        build_graph(3, [(0, 1)], [0] * 2)
 
 
 @pytest.mark.parametrize("edge", [(True, 2), (0, 2.0), ("0", 1)])

@@ -99,6 +99,7 @@ def test_construct_usage_errors(tmp_path):
          "--out", "x"),                                            # lambda >= q
         ("construct", "--family", "sprott", "--q", "16", "--lambda", "5",
          "--out", "x"),                                            # 4 does not divide 15
+        ("construct", "--family", "H3", "--q", "257", "--out", "x"),  # GF(257^2) too large
     ]
     for args in cases:
         proc = run(*args, cwd=tmp_path)
@@ -123,6 +124,13 @@ def test_malformed_file_gives_exit_two(tmp_path):
     proc = run("verify", "gq", "bad.inc", cwd=tmp_path)
     assert proc.returncode == 2
     assert "bad.inc:2" in proc.stderr
+    # a class that names an instance twice would not write back as read
+    (tmp_path / "x.design").write_text("design 2 1\n0 1\n")
+    (tmp_path / "x.lrs").write_text("lrs 2\npoint 0\nclass 0 0\npoint 1\nclass 0\n")
+    proc = run("verify", "lrs", "x.design", "x.lrs", cwd=tmp_path)
+    assert proc.returncode == 2
+    assert not proc.stdout
+    assert "x.lrs:3:1: class repeats an instance" in proc.stderr
 
 
 def test_input_digest_is_of_the_file_bytes(w2_file, tmp_path):

@@ -38,7 +38,7 @@ from gqdesigns.structures import (
     verify_ovoid,
 )
 
-from conftest import fano_design, fano_incidence
+from conftest import fano_design, fano_incidence, grid_3x3
 
 
 # ---------------------------------------------------------
@@ -79,6 +79,11 @@ def test_forward_map_rejects_bad_ovoids(w2):
         design_from_ovoid(w2, frozenset(range(5)))
     with pytest.raises(VerificationError):
         design_from_ovoid(fano_incidence(), frozenset({0}))
+    # the 3x3 grid is a GQ of order (2,1) and its diagonal an ovoid, but
+    # both maps need s and t above 1
+    for apply in (design_from_ovoid, check_regular_traces):
+        with pytest.raises(ValueError, match=r"^order \(2, 1\) needs s and t above 1$"):
+            apply(grid_3x3(), {0, 4, 8})
 
 
 # ---------------------------------------------------------

@@ -153,6 +153,7 @@ def test_incidence_errors():
     _expect_error(parse_incidence, "inc 3 1\n0 x\n", 2, "expected an integer")
     _expect_error(parse_incidence, "inc 3\n0 1\n", 1, "takes 2 integers")
     _expect_error(parse_incidence, "inc 3 1\n0 0\n", 2, "repeats")
+    _expect_error(parse_incidence, "inc -1 2\n", 1, "must be non-negative")
 
 
 def test_column_of_bad_token():
@@ -200,3 +201,6 @@ def test_lrs_errors():
                   3, "empty class")
     _expect_error(parse_lrs, "lrs 2\npoint 5\n", 2, "outside")
     _expect_error(parse_lrs, "lrs 2\nnoise here\n", 2, "expected 'point'")
+    _expect_error(parse_lrs, "lrs 1\npoint 0 1\n", 2, "exactly one index")
+    with pytest.raises(FormatError, match=r"^x:3:1: class repeats an instance$"):
+        parse_lrs("lrs 1\npoint 0\nclass 0 0 1\n", "x")

@@ -380,6 +380,14 @@ def test_fano_has_no_ntlrs():
     assert not res.solutions
 
 
+def test_no_ntlrs_search_when_k_minus_1_does_not_divide_v_minus_1():
+    # a class about a point partitions the other v - 1 points into pieces of
+    # k - 1, so a 2-(6,3,2) design has no system and nothing is searched
+    d = Design(6, [(0, 1, 2), (0, 1, 3), (0, 2, 4), (0, 3, 5), (0, 4, 5),
+                   (1, 2, 5), (1, 3, 4), (1, 4, 5), (2, 3, 4), (2, 3, 5)])
+    assert find_ntlrs(d) == SearchResult([], True, 0)
+
+
 def test_q4_design_has_exactly_one_ntlrs(sprott4):
     d, explicit = sprott4
     res = find_ntlrs(d)

@@ -86,6 +86,12 @@ def test_lrs_refuses_bool_instances():
     assert str(exc.value) == "point 0, class 1 has instance True, not an int"
 
 
+def test_lrs_refuses_empty_classes():
+    with pytest.raises(ValueError) as exc:
+        LocalResolutionSystem([[[]]])
+    assert str(exc.value) == "point 0 has an empty class"
+
+
 def test_lrs_canonical_order_and_equality():
     a = LocalResolutionSystem([[[1, 0], [2]], [[0], [1, 2]]])
     b = LocalResolutionSystem([[[2], [0, 1]], [[0], [2, 1]]])
@@ -208,6 +214,8 @@ def test_full_and_empty_point_sets_are_not_ovoids(w2):
         verify_ovoid(w2, range(15))
     with pytest.raises(OvoidError):
         verify_ovoid(w2, [])
+    with pytest.raises(OvoidError, match="ovoid point 15 out of range"):
+        verify_ovoid(w2, [15])
 
 
 # ---------------------------------------------------------
@@ -691,6 +699,10 @@ def test_gq_verifier_matches_the_scans():
                 got = _outcome(verify_gq, _fresh(u))
                 assert got == _outcome(_reference_verify_gq, _fresh(u))
                 outcomes.add(got[2]["axiom"] if len(got) == 3 else 0)
+    # a point on one line only, and lines of one point each
+    for u in [IncidenceStructure(2, [[0, 1]]),
+              IncidenceStructure(3, [[0], [1], [2], [0], [1], [2]])]:
+        assert _outcome(verify_gq, u) == _outcome(_reference_verify_gq, _fresh(u))
     # some structures pass, and each axiom fails on some others
     assert outcomes == {0, 1, 2, 3}
 
@@ -715,6 +727,10 @@ def test_design_verifiers_match_the_scans():
                       Design(d.point_count, changed)]:
                 for allow in (False, True):
                     assert _outcome(verify_bibd, e, allow) == _outcome(_reference_verify_bibd, e, allow)
+    # no blocks, one point, and blocks of one point
+    for e in [Design(3, []), Design(1, [[0]]), Design(3, [[0], [1], [2]])]:
+        for allow in (False, True):
+            assert _outcome(verify_bibd, e, allow) == _outcome(_reference_verify_bibd, e, allow)
     # blocks 0 and 1 share two points in one class, yet no instance is
     # co-class with both at another point
     d = Design(4, [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]])

@@ -91,6 +91,11 @@ def sprott_lrs(q: int) -> tuple[Design, LocalResolutionSystem]:
     each j in 0..q one class of the q - 1 multiples x^(j + (q+1)i) of the fixed
     block (0, 1, x^(q-1) + 1, ..., x^(q(q-1)) + 1).  Classes about any other
     point v are the translates by v of the classes about 0.
+
+    Each of the m * q^2 instances is recorded once as its base block i and
+    shift g, and so is each block of a class about 0; the translate by v of
+    (i, g) is the instance of (i, g + v), read from that record, so no
+    translated class is sorted or hashed.
     """
     if not _is_int(q) or q < 4 or q & (q - 1):
         raise ValueError(f"need a power of 2 with q >= 4, got {q!r}")
@@ -113,12 +118,17 @@ def sprott_lrs(q: int) -> tuple[Design, LocalResolutionSystem]:
     if len(index) != len(design.blocks):
         raise RuntimeError("the developed design repeats a block")
 
-    classes_by_point = []
-    for v in range(qq):
-        shift = [f.add(e, v) for e in f.elements()]
-        point_classes = []
-        for cls in zero_classes:
-            point_classes.append([index[tuple(sorted([shift[e] for e in content]))]
-                                  for content in cls])
-        classes_by_point.append(point_classes)
+    # instance[i][g] is base block i shifted by g, origin[j] = (i, g) of
+    # instance j; GF(2^a) adds by xor
+    instance = []
+    origin = [None] * len(design.blocks)
+    for i, base in enumerate(fam.base_blocks):
+        row = [index[tuple(sorted([e ^ g for e in base]))] for g in range(qq)]
+        for g, j in enumerate(row):
+            origin[j] = (i, g)
+        instance.append(row)
+    zero_origins = [[origin[index[content]] for content in cls] for cls in zero_classes]
+
+    classes_by_point = [[[instance[i][g ^ v] for i, g in cls] for cls in zero_origins]
+                        for v in range(qq)]
     return design, LocalResolutionSystem(classes_by_point)

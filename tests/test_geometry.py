@@ -8,6 +8,7 @@ from unittest import mock
 import pytest
 
 from gqdesigns import geometry
+from gqdesigns.field import field_of_order, make_field
 from gqdesigns.fileformats import write_incidence
 from gqdesigns.geometry import (
     hermitian_gq,
@@ -77,6 +78,83 @@ FROZEN_LABELINGS = [
 def test_frozen_labelings(maker, q, digest):
     text = write_incidence(maker(q))
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def _oracle_gq(f, ncoords, on_variety, form):
+    """Points and lines of a polar space by the definition, without `_polar_gq`.
+
+    The points are the normalized vectors on the variety, in lexicographic
+    order; a line is the span of a pair x, y with form(x, y) = 0 whose q + 1
+    points all lie on the variety.
+    """
+    def normalized(v):
+        scale = f.inv(next(c for c in v if c))
+        return tuple(f.mul(scale, c) for c in v)
+
+    pts = sorted(v for v in itertools.product(f.elements(), repeat=ncoords)
+                 if any(v) and normalized(v) == v and on_variety(v))
+    index = {p: i for i, p in enumerate(pts)}
+    lines = set()
+    for x, y in itertools.combinations(pts, 2):
+        if form(x, y):
+            continue
+        span = {y} | {normalized([f.add(a, f.mul(lam, b)) for a, b in zip(x, y)])
+                      for lam in f.elements()}
+        if all(on_variety(p) for p in span):
+            lines.add(tuple(sorted(index[p] for p in span)))
+    return len(pts), sorted(lines)
+
+
+def _symplectic_oracle(q):
+    f = field_of_order(q)
+    return _oracle_gq(f, 4, lambda x: True, lambda x, y: f.add(
+        f.sub(f.mul(x[0], y[1]), f.mul(x[1], y[0])),
+        f.sub(f.mul(x[2], y[3]), f.mul(x[3], y[2]))))
+
+
+def _parabolic_oracle(q):
+    f = field_of_order(q)
+
+    def quad(x):  # x0^2 - x1*x2 - x3*x4
+        return f.sub(f.mul(x[0], x[0]), f.add(f.mul(x[1], x[2]), f.mul(x[3], x[4])))
+
+    def form(x, y):  # Q(x + y) - Q(x) - Q(y)
+        return f.sub(quad([f.add(a, b) for a, b in zip(x, y)]), f.add(quad(x), quad(y)))
+
+    return _oracle_gq(f, 5, lambda x: quad(x) == 0, form)
+
+
+def _hermitian_oracle(q):
+    base = field_of_order(q)
+    f = make_field(base.p, 2 * base.a)
+
+    def total(terms):
+        acc = 0
+        for t in terms:
+            acc = f.add(acc, t)
+        return acc
+
+    return _oracle_gq(f, 4, lambda x: total(f.pow(c, q + 1) for c in x) == 0,
+                      lambda x, y: total(f.mul(a, f.pow(b, q)) for a, b in zip(x, y)))
+
+
+@pytest.mark.parametrize("maker,oracle,q", [
+    (symplectic_gq, _symplectic_oracle, 2), (symplectic_gq, _symplectic_oracle, 3),
+    (symplectic_gq, _symplectic_oracle, 4), (parabolic_gq, _parabolic_oracle, 2),
+    (parabolic_gq, _parabolic_oracle, 3), (hermitian_gq, _hermitian_oracle, 2)],
+    ids=["W(2)", "W(3)", "W(4)", "Q(4,2)", "Q(4,3)", "H(3,4)"])
+def test_polar_builder_matches_the_all_pairs_definition(maker, oracle, q):
+    # the builder skips points whose lines are all built; the pair scan walks
+    # every pair, so a line the skip lost would show here
+    s = maker(q)
+    assert (s.point_count, list(s.lines)) == oracle(q)
+
+
+def test_polar_builder_refuses_points_of_unequal_degree():
+    # a constant map is no polarity: B(x, z) = z0 + z1 + z2 + z3 whatever x is,
+    # so the points do not all come to lie on as many lines as point 0
+    with pytest.raises(RuntimeError, match="lies on"):
+        geometry._polar_gq(field_of_order(3), 4, lambda x: True, lambda x: (1, 1, 1, 1))
 
 
 def test_symplectic_is_self_dual_at_q2(w2):

@@ -161,6 +161,7 @@ def test_explicit_system_at_q8_verifies():
 FROZEN_SYSTEMS = {
     4: "58cc3e811e1ff7732a8fd8e5cbb0fb76eda32de56313b01211a9e4dc0fb82ecb",
     8: "d7173c39a51d3adc8ac32ba4a2850845dc5041f4379e8f82b8f412f03b6fc850",
+    16: "b80e6276039960cd4ec675ffdc309dbf89e01fad5d6c62802751a2db53633aba",
 }
 
 

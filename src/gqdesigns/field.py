@@ -91,6 +91,10 @@ class Field:
     def add(self, u: int, v: int) -> int:
         self._check(u)
         self._check(v)
+        return self._add(u, v)
+
+    def _add(self, u: int, v: int) -> int:
+        """add without the range checks, for elements known to be in range."""
         p = self.p
         if p == 2:
             return u ^ v

@@ -10,20 +10,21 @@ three kinds of mask: by_elem[e], the candidates covering element e;
 conflict[i], every candidate sharing an element with candidate i, i itself
 included; and alive, the candidates disjoint from everything chosen so far.
 It also keeps the live-candidate counts (by_elem[e] & alive).bit_count() of
-the uncovered elements as bit planes: bit e of planes[j] is bit j of e's
-count.  Choosing i kills the candidates of alive & conflict[i], and the child
-subtracts their masks, cut to the elements still uncovered, from a copy of
-the planes, the borrow rippling up from plane 0.  Taken in ascending index
-order, a mask joins the current batch if disjoint from it and otherwise
-starts the next, and each batch is subtracted as one mask.  In a GQ the
-killed points, all collinear with i, share only lines through i, so one
-batch takes them all.
+the uncovered elements as complemented bit planes: bit e of planes[j] is bit
+j of ~count, so each plane is used without inverting it.  Choosing i kills
+the candidates of alive & conflict[i], and the child adds their masks, cut
+to the elements still uncovered, to the planes, the carry rippling up from
+plane 0.  Taken in ascending index order, a mask joins the current batch if
+disjoint from it and otherwise starts the next, and each batch is added as
+one mask.  In a GQ the killed points, all collinear with i, share only
+lines through i, so one batch takes them all.
 A node branches on the uncovered element with the fewest live candidates,
 ties to the lowest: starting from the uncovered elements, each plane from
-the top down narrows them to those with a 0 in it, where any have one, and
-the lowest element left wins.  If it has no live candidate, the node is a
-dead end.  Candidates are tried in ascending index order.  nodes ticks once
-per node entered, the root and every complete cover included.
+the top down narrows them to those with a 1 in it (a 0 in the count), where
+any have one, and the lowest element left wins.  If it has no live
+candidate, the node is a dead end.  Candidates are tried in ascending index
+order.  nodes counts every node entered, the root and every complete cover
+included.
 
 Resolution search (find_ntlrs) partitions the instances through each point
 p in turn, in ascending order, into parallel classes.  It keeps through[x],
@@ -37,13 +38,17 @@ which binds at the block's lowest point), and nbr[i] & reach == 0, where
 reach is the union of nbr over the class's members.  That last test is the
 pairwise triangle check: it fails exactly when some instance is co-class
 with both i and a member at two other points.  nbr is set when a class
-closes and undone on backtrack.  nodes ticks once each time a next class is
+closes and undone on backtrack.  nodes counts each time a next class is
 begun at a point (also when no instance is left, which completes the point)
-and once per growth step that still has a point to cover.
+and each growth step that still has a point to cover.
 
-Both searches run from an explicit stack of branching nodes, each holding
-its untried candidates, so the interpreter's stack depth does not grow with
-the size of a solution or of a design.
+Both searches run one node per pass of a loop, never recursing, so the
+stack depth does not grow with a solution or a design.  Only a branching
+node holds a frame: its state, its untried candidates and len(chosen) or
+len(closed) at it.  A forced node continues in place, and so does the last
+candidate of a frame, taking the frame's planes; exact cover copies them
+only for a child that leaves a frame behind.  Each engine counts its nodes
+in a local int and calls the budget's meter only at the due node.
 """
 
 from __future__ import annotations
@@ -143,25 +148,34 @@ class _Stop(Exception):
 
 
 class _Meter:
-    """Node counter with optional budget enforcement."""
+    """Budget checks at due nodes only: the cut, the node past the cap (0 with
+    no cap), or the next clock read (node 1, then every every-th), whichever
+    comes first; due is 0, never reached, with neither limit.  tick() counts
+    nodes by the same rule."""
 
-    __slots__ = ("nodes", "max_nodes", "deadline", "every")
+    __slots__ = ("nodes", "cut", "deadline", "every", "due")
 
     def __init__(self, budget: Optional[Budget], every: int = 1024):
         self.nodes = 0
-        self.every = every  # read the clock at node 1, 1 + every, ...
-        self.max_nodes = budget.max_nodes if budget else None
+        self.every = every
+        cap = budget.max_nodes if budget else None
+        self.cut = self.due = 0 if cap is None else cap + 1
         self.deadline = None
         if budget and budget.max_seconds is not None:
             self.deadline = time.monotonic() + budget.max_seconds
+            self.due = 1
+
+    def reach(self, n: int) -> int:
+        """Raise _Stop if node n spends the budget, else return the next due node."""
+        if n == self.cut or time.monotonic() >= self.deadline:  # else n reads the clock
+            raise _Stop(True)
+        n += self.every
+        return min(n, self.cut) if self.cut else n
 
     def tick(self) -> None:
         self.nodes += 1
-        if self.max_nodes is not None and self.nodes > self.max_nodes:
-            raise _Stop(True)
-        if self.deadline is not None and (self.nodes - 1) % self.every == 0:
-            if time.monotonic() >= self.deadline:
-                raise _Stop(True)
+        if self.nodes == self.due:
+            self.due = self.reach(self.nodes)
 
 
 def _check_limit(limit: Optional[int]) -> None:
@@ -199,76 +213,70 @@ def _exact_cover(universe: int, masks, by_elem, conflict, limit: Optional[int],
     candidate i covers; by_elem[e]; conflict[i]."""
     counts = [cands.bit_count() for cands in by_elem]
     depth = max(counts, default=0).bit_length()
-    root = [sum((n >> j & 1) << e for e, n in enumerate(counts)) for j in range(depth)]
+    planes = [sum((~n >> j & 1) << e for e, n in enumerate(counts)) for j in range(depth)]
     top_down = range(depth - 1, -1, -1)
+    bottom_up = range(depth)
     meter = _Meter(budget)
-    tick = meter.tick
+    due = meter.due
+    nodes = 0
     solutions: list[frozenset[int]] = []
-    chosen: list[int] = []  # chosen[d]: the candidate being tried at stack[d]
-    stack: list[list] = []  # [uncovered, alive, planes, untried candidates]
-
-    def enter(uncovered: int, alive: int, planes: list[int]) -> None:
-        tick()
-        if not uncovered:
-            solutions.append(frozenset(chosen))
-            if limit is not None and len(solutions) >= limit:
-                raise _Stop(False)
-            return
-        fewest = uncovered
-        for j in top_down:
-            low = fewest & ~planes[j]
-            if low:
-                fewest = low
-        live = by_elem[(fewest & -fewest).bit_length() - 1] & alive
-        if live:  # else an uncovered element has no live candidate
-            stack.append([uncovered, alive, planes, live])
-
-    exhausted = True
-    budget_hit = False
+    chosen: list[int] = []  # the candidates chosen above the current node
+    # the branching nodes above it: (uncovered, alive, planes, untried, len(chosen))
+    stack: list[tuple] = []
+    uncovered = (1 << universe) - 1
+    alive = (1 << len(masks)) - 1
     try:
         if universe == 0:
             solutions.append(frozenset())
-        else:
-            enter((1 << universe) - 1, (1 << len(masks)) - 1, root)
-        while stack:
-            frame = stack[-1]
-            del chosen[len(stack) - 1:]
-            uncovered, alive, planes, untried = frame
-            if not untried:
-                stack.pop()
-                continue
-            low = untried & -untried
-            frame[3] = untried ^ low
+        while universe:
+            nodes += 1
+            if nodes == due:
+                due = meter.reach(nodes)
+            if uncovered:
+                fewest = uncovered
+                for j in top_down:
+                    low = fewest & planes[j]
+                    if low:
+                        fewest = low
+                live = by_elem[(fewest & -fewest).bit_length() - 1] & alive
+            else:
+                solutions.append(frozenset(chosen))
+                if limit is not None and len(solutions) >= limit:
+                    raise _Stop(False)
+                live = 0
+            if not live:  # resume the last branching node
+                if not stack:
+                    break
+                uncovered, alive, planes, live, mark = stack.pop()
+                del chosen[mark:]
+            low = live & -live
+            live ^= low
+            if live:  # untried candidates stay behind, with the planes
+                stack.append((uncovered, alive, planes, live, len(chosen)))
+                planes = planes[:]
             i = low.bit_length() - 1
             chosen.append(i)
             uncovered ^= masks[i]
             killed = alive & conflict[i]
             alive ^= killed
-            batches = []
-            batch = 0
             while killed:
-                g = killed & -killed
-                killed ^= g
-                m = masks[g.bit_length() - 1] & uncovered
-                if batch & m:
-                    batches.append(batch)
-                    batch = m
-                else:
-                    batch |= m
-            batches.append(batch)
-            planes = planes[:]
-            for borrow in batches:
-                for j in range(depth):
-                    old = planes[j]
-                    planes[j] = old ^ borrow
-                    borrow &= ~old
-                    if not borrow:
+                batch = 0
+                while killed:
+                    g = killed & -killed
+                    m = masks[g.bit_length() - 1] & uncovered
+                    if batch & m:
                         break
-            enter(uncovered, alive, planes)
+                    batch |= m
+                    killed ^= g
+                for j in bottom_up:
+                    old = planes[j]
+                    planes[j] = old ^ batch
+                    batch &= old
+                    if not batch:
+                        break
     except _Stop as stop:
-        exhausted = False
-        budget_hit = stop.budget_hit
-    return SearchResult(solutions, exhausted, meter.nodes, budget_hit)
+        return SearchResult(solutions, False, nodes, stop.budget_hit)
+    return SearchResult(solutions, True, nodes)
 
 
 def find_ovoids(s: IncidenceStructure, limit: Optional[int] = None,
@@ -308,7 +316,8 @@ def find_ntlrs(design: Design, limit: Optional[int] = None,
     if (v - 1) % (params.k - 1):
         return SearchResult([], True, 0)
     meter = _Meter(budget)
-    tick = meter.tick
+    due = meter.due
+    nodes = 0
     masks = design.line_masks
     full = (1 << v) - 1
     through = design.point_masks
@@ -348,75 +357,66 @@ def find_ntlrs(design: Design, limit: Optional[int] = None,
             rest ^= low
             nbr[low.bit_length() - 1] ^= cls ^ low
 
-    def descend(p, members, covered, reach, unused):
-        # Take the forced steps from a class at p until the next choice.
-        # A class whose covered mask is full is complete: record it, then
-        # start the next class at p or, with no instance left, move to the
-        # next point.  The lowest unused instance leads a new class with no
-        # test: it has no class-mates yet, and a waiting twin would be
-        # lower still.  Return the choice frame [p, members, covered,
-        # reach, unused, untried, len(closed)], or None after a dead end
-        # or an emitted solution.
-        while covered == full:
-            if members:
-                closed.append((p, members))
-                link(members)
-            tick()
-            while not unused:
-                p += 1
-                if p == v:
-                    emit()
-                    return None
-                unused = through[p]
-                tick()
-            members = unused & -unused
-            leader = members.bit_length() - 1
-            covered = masks[leader]
-            reach = nbr[leader]
-            unused ^= members
-        tick()
-        pbit = 1 << p
-        held = guard[p]
-        target = full ^ covered
-        cands = unused & through[(target & -target).bit_length() - 1]
-        untried = 0
-        while cands:
-            low = cands & -cands
-            cands ^= low
-            i = low.bit_length() - 1
-            if (masks[i] & covered) != pbit:
-                continue  # meets the class outside p
-            if held.get(i, 0) & unused:
-                continue  # its lower twin is still unused at p
-            if nbr[i] & reach:
-                continue  # would close a triangle with two labels
-            untried |= low
-        if not untried:
-            return None
-        return [p, members, covered, reach, unused, untried, len(closed)]
-
-    exhausted = True
-    budget_hit = False
+    # the branching growth steps above the current one:
+    # (p, members, covered, reach, unused, untried, len(closed))
+    stack: list[tuple] = []
+    # an empty complete class at point 0 starts the search there
+    p, members, covered, reach, unused = 0, 0, full, 0, through[0]
     try:
-        # an empty complete class at point 0 starts the search there
-        frame = descend(0, 0, full, 0, through[0])
-        stack = [frame] if frame else []
-        while stack:
-            frame = stack[-1]
-            p, members, covered, reach, unused, untried, mark = frame
-            if not untried:
-                stack.pop()
-                continue
+        while True:  # one node per pass
+            nodes += 1
+            if nodes == due:
+                due = meter.reach(nodes)
+            untried = 0
+            if covered == full:  # record the complete class
+                if members:
+                    closed.append((p, members))
+                    link(members)
+                if unused:  # the lowest unused leads the next class, untested:
+                    # no class-mates yet, and a waiting twin would be lower
+                    members = unused & -unused
+                    leader = members.bit_length() - 1
+                    covered = masks[leader]
+                    reach = nbr[leader]
+                    unused ^= members
+                    continue
+                p += 1  # no instance is left at p
+                if p < v:
+                    members = 0
+                    unused = through[p]
+                    continue
+                emit()
+            else:
+                pbit = 1 << p
+                held = guard[p]
+                target = full ^ covered
+                cands = unused & through[(target & -target).bit_length() - 1]
+                while cands:
+                    low = cands & -cands
+                    cands ^= low
+                    i = low.bit_length() - 1
+                    if nbr[i] & reach:
+                        continue  # would close a triangle with two labels
+                    if (masks[i] & covered) != pbit:
+                        continue  # meets the class outside p
+                    if held.get(i, 0) & unused:
+                        continue  # its lower twin is still unused at p
+                    untried |= low
+            if not untried:  # resume the last branching step
+                if not stack:
+                    break
+                p, members, covered, reach, unused, untried, mark = stack.pop()
+                while len(closed) > mark:  # reopen the classes closed below it
+                    link(closed.pop()[1])
             low = untried & -untried
-            frame[5] = untried ^ low
-            while len(closed) > mark:  # reopen the classes closed below here
-                link(closed.pop()[1])
+            untried ^= low
+            if untried:
+                stack.append((p, members, covered, reach, unused, untried, len(closed)))
             i = low.bit_length() - 1
-            frame = descend(p, members | low, covered | masks[i], reach | nbr[i],
-                            unused ^ low)
-            if frame:
-                stack.append(frame)
+            members |= low
+            covered |= masks[i]
+            reach |= nbr[i]
+            unused ^= low
     except _Stop as stop:
-        exhausted = False
-        budget_hit = stop.budget_hit
-    return SearchResult(systems, exhausted, meter.nodes, budget_hit)
+        return SearchResult(systems, False, nodes, stop.budget_hit)
+    return SearchResult(systems, True, nodes)

@@ -9,6 +9,7 @@ instances.
 
 from __future__ import annotations
 
+from operator import xor
 from typing import NamedTuple
 
 from .field import Field, field_of_order, make_field
@@ -52,11 +53,13 @@ def sprott_design(p: int, a: int, lam: int) -> tuple[DifferenceFamily, Design]:
     """
     fam = sprott_family(p, a, lam)
     f = fam.field
+    # every element is in range, so no add needs Field.add's checks;
+    # GF(2^a) adds by xor
+    plus = xor if p == 2 else f._add
     translates = []
     for i, base in enumerate(fam.base_blocks):
         for g in f.elements():
-            content = tuple(sorted(f.add(e, g) for e in base))
-            translates.append((content, i, g))
+            translates.append((tuple(sorted([plus(e, g) for e in base])), i, g))
     translates.sort()
     return fam, Design(f.q, [t[0] for t in translates])
 

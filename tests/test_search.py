@@ -28,7 +28,7 @@ from gqdesigns.structures import (
     verify_ovoid,
 )
 
-from conftest import fano_design, fano_incidence
+from conftest import fano_design, fano_incidence, grid_3x3
 
 
 # ---------------------------------------------------------
@@ -205,6 +205,54 @@ def test_zero_time_budget_cuts_a_short_search():
     assert not res.exhausted
     assert res.solutions == []
     assert res.nodes == 1
+
+
+# The cap k at which each solution is first returned by a cut run, that is
+# the node that emits it, less one; the budget test below pins these
+SOLUTION_CAPS = {
+    "ovoids grid": (lambda b: find_ovoids(grid_3x3(), budget=b), [4, 6, 9, 11, 14]),
+    "ovoids W(2)": (lambda b: find_ovoids(symplectic_gq(2), budget=b), [6, 10, 15, 19, 24]),
+    "ntlrs 3xAG(2,3)": (lambda b: find_ntlrs(replicate(affine_plane(3), 3), budget=b),
+                        [152, 260, 384]),
+    "ntlrs GF(16) lambda 6": (lambda b: find_ntlrs(sprott_design(2, 4, 6)[1], budget=b), []),
+    "ntlrs Fano": (lambda b: find_ntlrs(fano_design(), budget=b), []),
+}
+
+
+@pytest.mark.parametrize("name", list(SOLUTION_CAPS))
+def test_node_budget_cuts_at_the_node_past_the_cap(name):
+    run, caps = SOLUTION_CAPS[name]
+    full = run(None)
+    assert full.exhausted and not full.budget_exceeded
+    for k in [*range(6), *caps, *(c - 1 for c in caps)]:
+        res = run(Budget(max_nodes=k))
+        assert (res.nodes, res.exhausted, res.budget_exceeded) == (k + 1, False, True)
+        assert res.solutions == full.solutions[:sum(c <= k for c in caps)], k
+    whole = run(Budget(max_nodes=full.nodes))  # a cap the search does not pass
+    assert whole == full
+
+
+@pytest.mark.parametrize("run, nodes", [
+    (lambda b: find_ovoids(parabolic_gq(4), budget=b), 1826),
+    (lambda b: find_ntlrs(replicate(affine_plane(3), 3), budget=b), 8577),
+])
+def test_engines_read_the_clock_at_the_first_node_then_every_1024(run, nodes):
+    reads = 1 + (nodes - 1) // 1024  # nodes 1, 1025, 2049, ...
+    with mock.patch.object(search.time, "monotonic", return_value=0.0) as clock:
+        res = run(Budget(max_seconds=1.0))
+    assert (res.nodes, res.exhausted) == (nodes, True)
+    assert clock.call_count == 1 + reads  # the first call sets the deadline
+    for cut in range(1, reads + 1):
+        # the clock is past the deadline from its cut-th read on
+        times = itertools.chain([0.0] * cut, itertools.repeat(5.0))
+        with mock.patch.object(search.time, "monotonic", side_effect=times):
+            res = run(Budget(max_seconds=1.0))
+        assert (res.nodes, res.exhausted, res.budget_exceeded) == \
+            (1 + 1024 * (cut - 1), False, True)
+    # both limits: the clock is read at nodes 1 and 1025, the cap cuts at 1501
+    with mock.patch.object(search.time, "monotonic", return_value=0.0) as clock:
+        res = run(Budget(max_nodes=1500, max_seconds=1.0))
+    assert (res.nodes, res.budget_exceeded, clock.call_count) == (1501, True, 3)
 
 
 def test_long_cover_does_not_recurse():

@@ -218,6 +218,42 @@ def test_full_and_empty_point_sets_are_not_ovoids(w2):
         verify_ovoid(w2, [15])
 
 
+def _line_scan_verdict(s, pts):
+    """The witness of the first line met other than once, or None: the line
+    scan verify_ovoid ran on every set before it decided from point masks."""
+    for j, line in enumerate(s.lines):
+        hits = len(set(line) & pts)
+        if hits != 1:
+            return (j, hits), f"line {j} meets the set in {hits} points, expected 1"
+    return None
+
+
+@pytest.mark.parametrize("build", [lambda: symplectic_gq(2), lambda: parabolic_gq(3)])
+def test_verify_ovoid_agrees_with_the_line_scan(build):
+    s = build()
+    n = s.point_count
+    ovoids = [set(o) for o in find_ovoids(s).solutions]
+    rng = random.Random(n)
+    sets = [set(), set(range(n))] + ovoids
+    for o in ovoids[:8]:
+        for p in sorted(o)[:3]:
+            sets.append(o - {p})  # one point short
+            sets.append(o | {(p + 1) % n})  # one point too many, or the same set
+            sets.append(o - {p} | {rng.randrange(n)})  # one point moved
+    sets += [set(rng.sample(range(n), rng.randrange(n + 1))) for _ in range(200)]
+    ovoid_count = 0
+    for pts in sets:
+        want = _line_scan_verdict(s, pts)
+        if want is None:
+            verify_ovoid(s, pts)
+            ovoid_count += 1
+            continue
+        with pytest.raises(OvoidError) as exc:
+            verify_ovoid(s, pts)
+        assert (exc.value.witness, str(exc.value)) == want
+    assert ovoid_count >= len(ovoids)
+
+
 # ---------------------------------------------------------
 # verify_lrs / verify_non_triangular
 # ---------------------------------------------------------

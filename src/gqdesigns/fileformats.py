@@ -6,6 +6,14 @@ numbers count LFs; other whitespace, a CR before the LF included, only
 separates tokens.  Lines starting with `#` and blank lines are ignored on
 input.  Writers emit LF newlines, sorted indices, and no
 comments, so writing a parsed file reproduces it byte for byte.
+
+The parsers read tokens and say where an error is.  The row rules are the
+constructors' (see structures); a ValueError one raises is reported at
+column 1 of the row it was reading, or of the header.  inc and design rows
+reach the constructor as they are read, so a file's first error is the one
+reported.  An lrs file, whose sections come in any point order, is read
+whole first, so its syntax errors come before class rules.  An ovoid has no
+constructor: parse_ovoid refuses negative and repeated indices itself.
 """
 
 from __future__ import annotations
@@ -25,96 +33,90 @@ class FormatError(ValueError):
 
 
 class _Reader:
+    """The rows of a file that are not blank or comments, taken in order;
+    line is that of the row taken last, where an error is reported."""
+
     def __init__(self, text: str, path: str):
         self.path = path
-        self.rows: list[tuple[int, str]] = []
-        for lineno, raw in enumerate(text.split("\n"), start=1):
-            stripped = raw.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            self.rows.append((lineno, raw))
+        self.rows = [(lineno, raw) for lineno, raw in enumerate(text.split("\n"), start=1)
+                     if raw.strip()[:1] not in ("", "#")]
         self.at = 0
+        self.line = 1
 
-    def take(self, what: str) -> tuple[int, str]:
+    def take(self, what: str) -> str:
         if self.at >= len(self.rows):
-            last = self.rows[-1][0] if self.rows else 1
-            raise FormatError(self.path, last, 1, f"unexpected end of file, expected {what}")
-        row = self.rows[self.at]
+            self.fail(f"unexpected end of file, expected {what}")
+        self.line, raw = self.rows[self.at]
         self.at += 1
-        return row
+        return raw
 
-    def done(self) -> bool:
-        return self.at >= len(self.rows)
+    def end(self, message: str) -> None:
+        """Fail at the first row left unread, if any."""
+        if self.at < len(self.rows):
+            self.take("nothing")
+            self.fail(message)
 
-    def fail(self, lineno: int, column: int, message: str):
-        raise FormatError(self.path, lineno, column, message)
+    def fail(self, message: str, column: int = 1):
+        raise FormatError(self.path, self.line, column, message)
 
     def build(self, make, *args):
-        """make(*args), with a ValueError it raises reported at the header's
-        line, since it concerns the file as a whole."""
+        """make(*args), with a ValueError it raises reported at self.line."""
         try:
             return make(*args)
+        except FormatError:
+            raise
         except ValueError as exc:
-            raise FormatError(self.path, self.rows[0][0], 1, str(exc)) from exc
+            self.fail(str(exc))
 
 
-def _ints(reader: _Reader, lineno: int, raw: str, expect_word: str | None = None) -> list[int]:
+def _column(raw: str, k: int) -> int:
+    """1-based column of the k-th token of raw."""
+    at = 0
+    for tok in raw.split()[:k + 1]:
+        at = raw.index(tok, at) + len(tok)
+    return at - len(tok) + 1
+
+
+def _ints(reader: _Reader, raw: str, skip: int = 0) -> list[int]:
+    """The integers of a row after its first skip tokens."""
     tokens = raw.split()
-    if expect_word is not None:
-        if not tokens or tokens[0] != expect_word:
-            reader.fail(lineno, 1, f"expected keyword '{expect_word}'")
-        tokens = tokens[1:]
-    out = []
-    col = 1
-    for tok in tokens:
-        col = raw.index(tok, col - 1) + 1
-        try:
-            out.append(int(tok))
-        except ValueError:
-            reader.fail(lineno, col, f"expected an integer, got {tok!r}")
-        col += len(tok)
-    return out
+    try:
+        return list(map(int, tokens[skip:]))
+    except ValueError:  # only now find which token it was, and its column
+        for k in range(skip, len(tokens)):
+            try:
+                int(tokens[k])
+            except ValueError:
+                reader.fail(f"expected an integer, got {tokens[k]!r}", _column(raw, k))
 
 
 def _header(reader: _Reader, keyword: str, arity: int) -> list[int]:
-    lineno, raw = reader.take(f"'{keyword}' header")
-    vals = _ints(reader, lineno, raw, expect_word=keyword)
+    raw = reader.take(f"'{keyword}' header")
+    if raw.split()[0] != keyword:
+        reader.fail(f"expected keyword '{keyword}'")
+    vals = _ints(reader, raw, 1)
     if len(vals) != arity:
-        reader.fail(lineno, 1, f"'{keyword}' header takes {arity} integers, got {len(vals)}")
-    for v in vals:
-        if v < 0:
-            reader.fail(lineno, 1, f"'{keyword}' header values must be non-negative")
+        reader.fail(f"'{keyword}' header takes {arity} integers, got {len(vals)}")
+    if any(v < 0 for v in vals):
+        reader.fail(f"'{keyword}' header values must be non-negative")
     return vals
 
 
-# each row format's header word: what one row is called, the class built from
-# the rows, and whether all rows have one size
-_ROWS = {"inc": ("line", IncidenceStructure, False),
-         "design": ("block", Design, True)}
+# each row format's header word and the class built from its rows
+_ROWS = {"inc": IncidenceStructure, "design": Design}
 
 
 def _parse_rows(reader: _Reader, keyword: str):
-    """The structure built from the header's point count and the rows it
-    promises, each a list of distinct point indices, and all as long as the
-    first where the format says so."""
-    noun, make, same_size = _ROWS[keyword]
+    """The structure its header names, each row handed to the constructor as read."""
+    make = _ROWS[keyword]
     points, nrows = _header(reader, keyword, 2)
-    rows = []
-    for _ in range(nrows):
-        lineno, raw = reader.take(f"a {noun} of point indices")
-        pts = _ints(reader, lineno, raw)
-        for p in pts:
-            if not 0 <= p < points:
-                reader.fail(lineno, 1, f"point index {p} outside 0..{points - 1}")
-        if len(set(pts)) != len(pts):
-            reader.fail(lineno, 1, f"{noun} repeats a point")
-        if same_size and rows and len(pts) != len(rows[0]):
-            reader.fail(lineno, 1, f"{noun} has size {len(pts)}, expected {len(rows[0])}")
-        rows.append(pts)
-    if not reader.done():
-        lineno, _ = reader.take("nothing")
-        reader.fail(lineno, 1, f"expected {nrows} {noun}s per the header, found more")
-    return reader.build(make, points, rows)
+
+    def rows():
+        for _ in range(nrows):
+            yield _ints(reader, reader.take(f"a {make._kind} of point indices"))
+        reader.end(f"expected {nrows} {make._kind}s per the header, found more")
+
+    return reader.build(make, points, rows())
 
 
 def parse_incidence(text: str, path: str = "<incidence>") -> IncidenceStructure:
@@ -128,10 +130,9 @@ def parse_design(text: str, path: str = "<design>") -> Design:
 def parse_structure(text: str, path: str = "<structure>") -> IncidenceStructure:
     """The incidence structure or the design, as the file's header names."""
     reader = _Reader(text, path)
-    lineno, raw = reader.take("an 'inc' or 'design' header")
-    word = raw.split()[0]
+    word = reader.take("an 'inc' or 'design' header").split()[0]
     if word not in _ROWS:
-        reader.fail(lineno, 1, f"unrecognised header {word!r}")
+        reader.fail(f"unrecognised header {word!r}")
     reader.at = 0  # the header is read again, as the format's own
     return _parse_rows(reader, word)
 
@@ -139,58 +140,58 @@ def parse_structure(text: str, path: str = "<structure>") -> IncidenceStructure:
 def parse_ovoid(text: str, path: str = "<ovoid>") -> frozenset[int]:
     reader = _Reader(text, path)
     (n,) = _header(reader, "ovoid", 1)
-    lineno, raw = reader.take("the ovoid point indices")
-    pts = _ints(reader, lineno, raw)
+    raw = reader.take("the ovoid point indices")
+    pts = _ints(reader, raw)
+    for k, p in enumerate(pts):
+        if p < 0:
+            reader.fail(f"ovoid point {p} is negative", _column(raw, k))
     if len(pts) != n:
-        reader.fail(lineno, 1, f"header promises {n} points, line has {len(pts)}")
+        reader.fail(f"header promises {n} points, line has {len(pts)}")
     if len(set(pts)) != len(pts):
-        reader.fail(lineno, 1, "ovoid points repeat")
-    if not reader.done():
-        extra, _ = reader.take("nothing")
-        reader.fail(extra, 1, "ovoid file has extra content")
+        reader.fail("ovoid points repeat")
+    reader.end("ovoid file has extra content")
     return frozenset(pts)
 
 
 def parse_lrs(text: str, path: str = "<lrs>") -> LocalResolutionSystem:
     reader = _Reader(text, path)
     (v,) = _header(reader, "lrs", 1)
-    sections: dict[int, list[list[int]]] = {}
-    current: list[list[int]] | None = None
-    while not reader.done():
-        lineno, raw = reader.take("a 'point' or 'class' line")
+    sections: dict[int, list[tuple[int, list[int]]]] = {}  # (line, class)s by point
+    current = None
+    while reader.at < len(reader.rows):
+        raw = reader.take("a 'point' or 'class' line")
         word = raw.split()[0]
         if word == "point":
-            vals = _ints(reader, lineno, raw, expect_word="point")
+            vals = _ints(reader, raw, 1)
             if len(vals) != 1:
-                reader.fail(lineno, 1, "'point' takes exactly one index")
+                reader.fail("'point' takes exactly one index")
             p = vals[0]
             if not 0 <= p < v:
-                reader.fail(lineno, 1, f"point index {p} outside 0..{v - 1}")
+                reader.fail(f"point index {p} outside 0..{v - 1}")
             if p in sections:
-                reader.fail(lineno, 1, f"duplicate section for point {p}")
-            current = []
-            sections[p] = current
+                reader.fail(f"duplicate section for point {p}")
+            current = sections[p] = []
         elif word == "class":
             if current is None:
-                reader.fail(lineno, 1, "'class' before any 'point' section")
-            members = _ints(reader, lineno, raw, expect_word="class")
-            if not members:
-                reader.fail(lineno, 1, "empty class")
-            if len(set(members)) != len(members):
-                reader.fail(lineno, 1, "class repeats an instance")
-            current.append(members)
+                reader.fail("'class' before any 'point' section")
+            current.append((reader.line, _ints(reader, raw, 1)))
         else:
-            reader.fail(lineno, 1, f"expected 'point' or 'class', got {word!r}")
+            reader.fail(f"expected 'point' or 'class', got {word!r}")
     missing = [p for p in range(v) if p not in sections]
     if missing:
-        reader.fail(reader.rows[0][0], 1, f"missing 'point' section for point {missing[0]}")
-    return reader.build(LocalResolutionSystem, [sections[p] for p in range(v)])
+        reader.line = reader.rows[0][0]
+        reader.fail(f"missing 'point' section for point {missing[0]}")
+
+    def classes(p):
+        for reader.line, members in sections[p]:  # a class error names its line
+            yield members
+
+    return reader.build(LocalResolutionSystem, (classes(p) for p in range(v)))
 
 
 def _write_rows(keyword: str, s: IncidenceStructure) -> str:
     out = [f"{keyword} {s.point_count} {len(s.lines)}"]
-    for line in s.lines:
-        out.append(" ".join(str(p) for p in line))
+    out += [" ".join(map(str, line)) for line in s.lines]
     return "\n".join(out) + "\n"
 
 
@@ -212,13 +213,12 @@ def write_ovoid(ovoid) -> str:
     pts.sort()
     if len(set(pts)) != len(pts):
         raise ValueError("ovoid points repeat")
-    return f"ovoid {len(pts)}\n" + " ".join(str(p) for p in pts) + "\n"
+    return f"ovoid {len(pts)}\n" + " ".join(map(str, pts)) + "\n"
 
 
 def write_lrs(system: LocalResolutionSystem) -> str:
     out = [f"lrs {system.point_count}"]
-    for p in range(system.point_count):
+    for p, classes in enumerate(system.classes):
         out.append(f"point {p}")
-        for cls in system.classes[p]:
-            out.append("class " + " ".join(str(i) for i in sorted(cls)))
+        out += ["class " + " ".join(map(str, sorted(cls))) for cls in classes]
     return "\n".join(out) + "\n"

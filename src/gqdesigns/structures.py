@@ -1,5 +1,10 @@
 """Point-line incidence structures, block designs, and their verifiers.
 
+The constructors alone hold the row rules, and check each row as they read
+it: a row is non-empty ints in 0..v-1 with no repeat, a design's blocks are
+as long as the first, an LRS class is non-empty and names each instance once.
+The first row that breaks a rule raises ValueError naming its index.
+
 Verifiers either return the computed parameters or raise a subclass of
 VerificationError carrying a concrete witness; they never return a bare
 pass/fail without evidence.  Point and line indices are 0-based everywhere.
@@ -23,7 +28,7 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import cached_property
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional
 
 
 class VerificationError(ValueError):
@@ -102,6 +107,7 @@ class IncidenceStructure:
     """Finite points and lines, each line a set of points (no repeats inside a line)."""
 
     _kind = "line"  # names one line in messages
+    _same_size = False  # whether every line must be as long as the first
 
     def __init__(self, point_count: int, lines: Iterable[Iterable[int]]):
         if not _is_int(point_count):
@@ -122,6 +128,9 @@ class IncidenceStructure:
                                  f"0..{point_count - 1}")
             if len(set(pts)) != len(pts):
                 raise ValueError(f"{self._kind} {idx} repeats a point")
+            if self._same_size and out and len(pts) != len(out[0]):
+                raise ValueError(f"{self._kind} {idx} has size {len(pts)}, "
+                                 f"expected {len(out[0])}")
             out.append(pts)
         self.point_count = point_count
         self.lines = tuple(out)
@@ -178,14 +187,7 @@ class Design(IncidenceStructure):
     """Block design: blocks all of one size, repeated blocks kept as separate instances."""
 
     _kind = "block"
-
-    def __init__(self, point_count: int, blocks: Iterable[Iterable[int]]):
-        super().__init__(point_count, blocks)
-        if self.lines:
-            k = len(self.lines[0])
-            for idx, blk in enumerate(self.lines):
-                if len(blk) != k:
-                    raise ValueError(f"block {idx} has size {len(blk)}, expected {k}")
+    _same_size = True
 
     @property
     def blocks(self) -> tuple[tuple[int, ...], ...]:
@@ -208,16 +210,21 @@ class LocalResolutionSystem:
     instance index, so equal systems compare equal regardless of input order.
     """
 
-    def __init__(self, classes_by_point: Sequence[Sequence[Iterable[int]]]):
+    def __init__(self, classes_by_point: Iterable[Iterable[Iterable[int]]]):
         rows = []
         for p, classes in enumerate(classes_by_point):
-            row = [frozenset(c) for c in classes]
-            for ci, c in enumerate(row):
-                if not c:
+            row = []
+            for ci, c in enumerate(classes):
+                members = tuple(c)
+                if not members:
                     raise ValueError(f"point {p} has an empty class")
-                for idx in c:
+                for idx in members:
                     if type(idx) is not int and not _is_int(idx):
                         raise ValueError(f"point {p}, class {ci} has instance {idx!r}, not an int")
+                c = frozenset(members)
+                if len(c) != len(members):
+                    raise ValueError(f"point {p}, class {ci} repeats an instance")
+                row.append(c)
             row.sort(key=min)
             rows.append(tuple(row))
         self.classes = tuple(rows)

@@ -441,33 +441,40 @@ def test_incidence_vs_networkx_on_small_corpus(w2):
 # ---------------------------------------------------------
 
 def check_wrong_witnesses_raise():
-    """Each isomorphism decision raises when handed a wrong bijection.
+    """Each isomorphism decision raises when a canonical labeling is wrong.
 
     Rotating a canonical labeling keeps the certificate but moves a vertex of
-    one color onto a position of another.  Swapping points 0 and 1 is no
-    automorphism of W(2) or of the Fano plane.  Also run under python -O,
-    where assert statements vanish.
+    one color onto a position of another.  Swapping its first two positions
+    is no automorphism of W(2) or of the Fano plane.  Also run under
+    python -O, where assert statements vanish.
     """
+    def corrupted(change):
+        """canonical_form, with the order of its second form changed."""
+        calls = []
+
+        def form_of(g, budget=None):
+            form = canonical_form(g, budget)
+            calls.append(g)
+            if len(calls) == 2:
+                form = form._replace(order=change(form.order))
+            return form
+        return mock.patch.object(canon, "canonical_form", form_of)
+
+    def rotate(order):
+        return order[1:] + order[:1]
+
+    def swap(order):
+        return (order[1], order[0]) + order[2:]
+
     w2 = symplectic_gq(2)
-    a, b = incidence_graph(w2), incidence_graph(w2)
-
-    def rotated_for_b(g, budget=None):
-        form = canonical_form(g, budget)
-        if g is b:
-            form = form._replace(order=form.order[1:] + form.order[:1])
-        return form
-
-    with mock.patch.object(canon, "canonical_form", rotated_for_b):
+    with corrupted(rotate):
         with pytest.raises(RuntimeError):
-            are_isomorphic(a, b)
-    cases = [(gq_isomorphic, w2, w2.point_count + len(w2.lines)),
-             (designs_isomorphic, fano_design(), 14)]
-    for decide, x, n in cases:
-        swap = {v: v for v in range(n)}
-        swap[0], swap[1] = 1, 0
-        with mock.patch.object(canon, "are_isomorphic", return_value=(True, swap)):
-            with pytest.raises(RuntimeError):
-                decide(x, x)
+            are_isomorphic(incidence_graph(w2), incidence_graph(w2))
+    for decide, x in ((gq_isomorphic, w2), (designs_isomorphic, fano_design())):
+        for change in (rotate, swap):
+            with corrupted(change):
+                with pytest.raises(RuntimeError, match="labelings disagree"):
+                    decide(x, x)
 
 
 def test_wrong_witnesses_raise():

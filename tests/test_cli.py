@@ -130,7 +130,7 @@ def test_malformed_file_gives_exit_two(tmp_path):
     proc = run("verify", "lrs", "x.design", "x.lrs", cwd=tmp_path)
     assert proc.returncode == 2
     assert not proc.stdout
-    assert "x.lrs:3:1: class repeats an instance" in proc.stderr
+    assert "x.lrs:3:1: point 0, class 0 repeats an instance" in proc.stderr
 
 
 def test_input_digest_is_of_the_file_bytes(w2_file, tmp_path):
@@ -164,6 +164,18 @@ def test_non_utf8_file_gives_exit_two(w2_file, tmp_path):
         assert proc.stdout == "", args
         assert "bad.inc:2:3: not UTF-8 text: byte 0xff" in proc.stderr, args
         assert not (tmp_path / "rep.txt").exists(), args
+
+
+def test_negative_ovoid_index_gives_exit_two(w2_file, tmp_path):
+    # a malformed file, not a set that fails as an ovoid or as marks
+    (tmp_path / "neg.ovoid").write_text("ovoid 2\n0 -1\n")
+    for args in (("verify", "ovoid", "w2.inc", "neg.ovoid"),
+                 ("canon", "w2.inc", "--ovoid", "neg.ovoid"),
+                 ("roundtrip", "gq", "w2.inc", "neg.ovoid")):
+        proc = run(*args, cwd=tmp_path)
+        assert proc.returncode == 2, args
+        assert proc.stdout == "", args
+        assert "neg.ovoid:2:3: ovoid point -1 is negative" in proc.stderr, args
 
 
 def test_missing_file_gives_exit_two(tmp_path):

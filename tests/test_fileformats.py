@@ -16,6 +16,7 @@ from gqdesigns.sprott import sprott_lrs
 from gqdesigns.structures import Design, IncidenceStructure
 
 from conftest import fano_design, grid_3x3
+from test_structures import DESIGN_ROW_ERRORS
 
 
 # ---------------------------------------------------------
@@ -51,6 +52,12 @@ def test_write_ovoid_refuses_what_parse_ovoid_refuses(w2_ovoids):
     for bad in ([True, 2], [2, 2], [-1], [1.5], ["3"]):
         with pytest.raises(ValueError):
             write_ovoid(bad)
+    # the same points as file rows ("3" is no str once written)
+    for row in ("True 2", "2 2", "-1", "1.5"):
+        with pytest.raises(FormatError):
+            parse_ovoid(f"ovoid {len(row.split())}\n{row}\n")
+    with pytest.raises(FormatError, match=r"^x:3:4: ovoid point -1 is negative$"):
+        parse_ovoid("ovoid 3\n# c\n2  -1 0\n", "x")
     for o in w2_ovoids:
         assert parse_ovoid(write_ovoid(o)) == o
         assert parse_ovoid(write_ovoid(iter(sorted(o)))) == o
@@ -111,7 +118,7 @@ def test_parse_structure_errors_name_their_line():
         with pytest.raises(FormatError, match=r"^x:1:1: unexpected end of file"):
             parse_structure(text, "x")
     # the row error comes from parse_design, at the row's own line
-    with pytest.raises(FormatError, match=r"^x:5:1: block has size 3, expected 2$"):
+    with pytest.raises(FormatError, match=r"^x:5:1: block 1 has size 3, expected 2$"):
         parse_structure("# c\ndesign 4 2\n0 1\n\n1 2 3\n", "x")
 
 
@@ -163,6 +170,15 @@ def test_column_of_bad_token():
     assert exc.value.column == 6
 
 
+def test_column_of_bad_token_after_a_keyword():
+    # the column is the token's own, not that of the same letter in the keyword
+    for text, column in (("lrs 1\npoint 0\nclass s\n", 7), ("lrs 1\npoint t\n", 7),
+                         ("ovoid s\n", 7)):
+        with pytest.raises(FormatError) as exc:
+            (parse_ovoid if text.startswith("ovoid") else parse_lrs)(text, "f")
+        assert exc.value.column == column, text
+
+
 def test_design_errors():
     _expect_error(parse_design, "design 4 1\n0 9\n", 2, "outside")
     _expect_error(parse_design, "design 4 2\n0 1\n0 1 2\n", 3, "expected 2")
@@ -170,11 +186,48 @@ def test_design_errors():
 
 def test_row_errors_name_the_line_of_the_row():
     # comments and blank lines move a row off its index, so the index is no line
-    _expect_error(parse_incidence, "inc 3 2\n0 1\n1 1\n", 3, "line repeats a point")
+    _expect_error(parse_incidence, "inc 3 2\n0 1\n1 1\n", 3, "line 1 repeats a point")
     _expect_error(parse_incidence, "# c\ninc 4 2\n\n0 1\n2 3 2\n", 5, "repeats")
     _expect_error(parse_design, "design 4 2\n0 1\n\n1 2 3\n", 4,
-                  "block has size 3, expected 2")
-    _expect_error(parse_design, "design 4 3\n0 1 2\n# c\n1 1 2\n", 4, "block repeats")
+                  "block 1 has size 3, expected 2")
+    _expect_error(parse_design, "design 4 3\n0 1 2\n# c\n1 1 2\n", 4, "block 1 repeats")
+
+
+def test_first_error_in_a_row_file_wins():
+    # the header promises 3 rows; a rule broken by row 2 is reported before a
+    # bad token in row 3, row 3 missing, or a 4th row
+    for parse, word in ((parse_incidence, "inc"), (parse_design, "design")):
+        for rest in ("0 x\n", "", "0 2\n1 2\n"):
+            _expect_error(parse, f"{word} 3 3\n# c\n0 1\n1 1\n{rest}", 4, "1 repeats a point")
+            _expect_error(parse, f"{word} 3 3\n0 1\n\n1 7\n{rest}", 4,
+                          "1 references a point outside")
+        _expect_error(parse, f"{word} 3 2\n0 x\n1 1\n", 2, "expected an integer")
+    for rest in ("0 x\n", "", "0 2\n1 2\n"):
+        _expect_error(parse_design, f"design 3 3\n0 1\n0 1 2\n{rest}", 3,
+                      "block 1 has size 3, expected 2")
+    # no points is a whole-file error, and the header comes first
+    _expect_error(parse_design, "design 0 2\n0 1\n", 1, "need at least one point")
+
+
+@pytest.mark.parametrize("blocks,message", DESIGN_ROW_ERRORS)
+def test_constructor_row_errors_name_their_line(blocks, message):
+    # each malformed block of test_design_messages_name_the_block as a file
+    # row, after a comment line per row so that index and line differ
+    bad = int(message.split()[1])
+    text = f"design 5 {len(blocks)}\n" + "".join(
+        f"# block {i}\n{' '.join(map(str, b))}\n" for i, b in enumerate(blocks))
+    with pytest.raises(FormatError) as exc:
+        parse_design(text, "x")
+    line = 2 * bad + 3
+    if not blocks[bad]:
+        # a blank line is no row, so the file comes up one block short
+        assert str(exc.value) == f"x:{line - 2}:1: unexpected end of file, " \
+                                 "expected a block of point indices"
+    elif "not an int" in message:
+        # written out, the point is a token that is no integer
+        assert str(exc.value).startswith(f"x:{line}:3: expected an integer")
+    else:
+        assert str(exc.value) == f"x:{line}:1: {message}"
 
 
 def test_whole_file_errors_name_the_header_line():
@@ -202,5 +255,21 @@ def test_lrs_errors():
     _expect_error(parse_lrs, "lrs 2\npoint 5\n", 2, "outside")
     _expect_error(parse_lrs, "lrs 2\nnoise here\n", 2, "expected 'point'")
     _expect_error(parse_lrs, "lrs 1\npoint 0 1\n", 2, "exactly one index")
-    with pytest.raises(FormatError, match=r"^x:3:1: class repeats an instance$"):
+    with pytest.raises(FormatError, match=r"^x:3:1: point 0, class 0 repeats an instance$"):
         parse_lrs("lrs 1\npoint 0\nclass 0 0 1\n", "x")
+
+
+def test_lrs_syntax_errors_come_before_class_rules():
+    # the empty class on line 3 is only built once the whole file is read
+    _expect_error(parse_lrs, "lrs 2\npoint 0\nclass\npoint 1\nclass x\n", 5,
+                  "expected an integer, got 'x'")
+    _expect_error(parse_lrs, "lrs 2\npoint 0\nclass 0 0\npoint 1\nnoise\n", 5,
+                  "expected 'point' or 'class'")
+    _expect_error(parse_lrs, "lrs 3\npoint 0\nclass 0 0\npoint 1\n", 1,
+                  "missing 'point' section for point 2")
+    # class rules are then checked point by point, each at its class's line
+    text = "lrs 2\npoint 1\nclass 0 0\npoint 0\nclass 1\nclass\n"
+    with pytest.raises(FormatError, match=r"^x:6:1: point 0 has an empty class$"):
+        parse_lrs(text, "x")
+    with pytest.raises(FormatError, match=r"^x:3:1: point 1, class 0 repeats an instance$"):
+        parse_lrs(text.replace("class\n", "class 2\n"), "x")

@@ -59,14 +59,18 @@ def test_design_requires_uniform_block_size():
         Design(5, [[0, 1, 2], [3, 4]])
 
 
-@pytest.mark.parametrize("blocks,message", [
+# malformed blocks on 5 points, each with the message naming the bad block
+DESIGN_ROW_ERRORS = [
     ([[0, 1, 2], [3, 4]], "block 1 has size 2, expected 3"),
     ([[0, 1], [2, 3], [1, 4], []], "block 3 is empty"),
     ([[0, 1], [0, 5]], "block 1 references a point outside 0..4"),
     ([[0, 0]], "block 0 repeats a point"),
     ([[0, 1.0]], "block 0 has point 1.0, not an int"),
     ([[0, 2], [1, False]], "block 1 has point False, not an int"),
-])
+]
+
+
+@pytest.mark.parametrize("blocks,message", DESIGN_ROW_ERRORS)
 def test_design_messages_name_the_block(blocks, message):
     with pytest.raises(ValueError) as exc:
         Design(5, blocks)
@@ -90,6 +94,16 @@ def test_lrs_refuses_empty_classes():
     with pytest.raises(ValueError) as exc:
         LocalResolutionSystem([[[]]])
     assert str(exc.value) == "point 0 has an empty class"
+
+
+def test_lrs_refuses_repeated_instances():
+    # merged into one frozenset, [0, 0, 1] would equal the class [0, 1]
+    with pytest.raises(ValueError) as exc:
+        LocalResolutionSystem([[[0, 0, 1]]])
+    assert str(exc.value) == "point 0, class 0 repeats an instance"
+    with pytest.raises(ValueError) as exc:
+        LocalResolutionSystem([[[2]], [[1], iter([3, 4, 3])]])
+    assert str(exc.value) == "point 1, class 1 repeats an instance"
 
 
 def test_lrs_canonical_order_and_equality():

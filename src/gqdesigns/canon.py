@@ -31,9 +31,11 @@ renumbered, and a child node copies one map.  Traces name cells by start;
 traces that agree so far describe the same partition, on which start grows
 with a cell's index, so they compare as they would with indices.
 
-Incidence structures and designs enter as colored bipartite graphs; repeated
-blocks collapse to one vertex colored by multiplicity, which keeps huge
-instance-permutation groups out of the search entirely.
+Incidence structures and designs enter as colored bipartite graphs read
+straight off their rows (structures._points checks marked points);
+repeated blocks collapse to one vertex colored by multiplicity, which keeps
+huge instance-permutation groups out of the search entirely.  build_graph
+checks the edges a caller supplies.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from itertools import accumulate
 from typing import Iterable, NamedTuple, Optional
 
 from .search import Budget, _Meter, _Record, _Stop
-from .structures import Design, IncidenceStructure, _is_int
+from .structures import Design, IncidenceStructure, _is_int, _points
 
 
 class ColoredGraph(NamedTuple):
@@ -136,24 +138,25 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]],
     return ColoredGraph(n, tuple(frozenset(a) for a in adj), cols)
 
 
+def _bipartite(v: int, rows, colors) -> ColoredGraph:
+    """Each point p in 0..v-1 joined to vertex v + j of every row j holding p.
+    Sets first: a frozenset copied from a set gets a table sized to fit, and
+    from a list up to half again as large.  Reading the rows caches nothing
+    on the structure, as its lines_through would."""
+    adj = [set() for _ in range(v)]
+    for j, row in enumerate(rows):
+        for p in row:
+            adj[p].add(v + j)
+    adj += map(set, rows)
+    return ColoredGraph(len(adj), tuple(map(frozenset, adj)), tuple(colors))
+
+
 def incidence_graph(s: IncidenceStructure,
                     ovoid: Optional[Iterable[int]] = None) -> ColoredGraph:
     """Bipartite point/line graph; an ovoid, if given, marks its points."""
-    marked = frozenset(ovoid) if ovoid is not None else frozenset()
-    v = s.point_count
-    for p in marked:
-        if not _is_int(p):
-            raise ValueError(f"marked point {p!r} is not an int")
-    for p in sorted(marked):
-        if not 0 <= p < v:
-            raise ValueError(f"marked point {p} outside 0..{v - 1}")
-    edges = []
-    for j, line in enumerate(s.lines):
-        for p in line:
-            edges.append((p, v + j))
-    colors = [(0, 1 if p in marked else 0) for p in range(v)]
-    colors += [(1, 0)] * len(s.lines)
-    return build_graph(v + len(s.lines), edges, colors)
+    marked = _points(s, ovoid) if ovoid is not None else frozenset()
+    colors = [(0, 1 if p in marked else 0) for p in range(s.point_count)]
+    return _bipartite(s.point_count, s.lines, colors + [(1, 0)] * len(s.lines))
 
 
 def design_graph(d: Design) -> ColoredGraph:
@@ -164,14 +167,8 @@ def design_graph(d: Design) -> ColoredGraph:
     """
     counts = d.multiplicities
     contents = sorted(counts)
-    v = d.point_count
-    edges = []
-    colors = [(0, 0)] * v
-    for j, content in enumerate(contents):
-        colors.append((1, counts[content]))
-        for p in content:
-            edges.append((p, v + j))
-    return build_graph(v + len(contents), edges, colors)
+    colors = [(0, 0)] * d.point_count + [(1, counts[c]) for c in contents]
+    return _bipartite(d.point_count, contents, colors)
 
 
 def _refine(adj, cells: dict[int, list[int]], trace: list[int], work,

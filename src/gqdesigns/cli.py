@@ -410,7 +410,7 @@ def cmd_iso(args, rep: Report) -> int:
     b = _load(args.second, parse_structure, rep)
     kind, kind_b = _kind(a), _kind(b)
     if kind != kind_b:
-        raise UsageError(f"cannot compare a {kind!r} file with a {kind_b!r} file")
+        raise UsageError(f"cannot compare {kind!r} and {kind_b!r} files")
     ov_a = _read_marks(kind, args.ovoid_a, rep)
     ov_b = _read_marks(kind, args.ovoid_b, rep)
     if kind == "inc":

@@ -28,6 +28,8 @@ coordinate, and x is scaled to x[m] = 1, so every x + lam*z of a line, as
 z[m] = 0, has a 1 at m: each is read straight off the table with no
 normalization.  All arithmetic reads the add/mul/neg/inv tables of
 `field.field_tables`, and H(3,q^2) also reads Frobenius and norm tables.
+
+The regularity functions check their points with structures._points.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from __future__ import annotations
 from itertools import product
 
 from .field import Field, field_of_order, field_tables, make_field
-from .structures import IncidenceStructure, _bits, _is_int, verify_gq
+from .structures import IncidenceStructure, _bits, _points, verify_gq
 
 
 def _projective_points(q: int, ncoords: int) -> list[tuple[int, ...]]:
@@ -151,23 +153,15 @@ def hermitian_gq(q: int) -> IncidenceStructure:
         lambda x: tuple(frob[c] for c in x))  # B(x, y) = sum x_i y_i^q, raised to q
 
 
-def _check_point(s: IncidenceStructure, x: int) -> None:
-    if type(x) is not int and not _is_int(x):  # skip the call for an int
-        raise ValueError(f"point {x!r} is not an int")
-    if not 0 <= x < s.point_count:
-        raise ValueError(f"point {x} out of range")
-
-
 def perp(s: IncidenceStructure, x: int) -> frozenset[int]:
     """x together with every point collinear with x."""
-    _check_point(s, x)
+    _points(s, (x,))
     return frozenset(_bits(s.neighbor_masks[x] | (1 << x)))
 
 
 def _trace_mask(s: IncidenceStructure, x: int, y: int, what: str) -> int:
     """Mask of the perps' meet of distinct points x, y; what names the caller."""
-    _check_point(s, x)
-    _check_point(s, y)
+    _points(s, (x, y))
     if x == y:
         raise ValueError(f"{what} needs two distinct points")
     return (s.neighbor_masks[x] | (1 << x)) & (s.neighbor_masks[y] | (1 << y))
@@ -188,8 +182,7 @@ def span_pair(s: IncidenceStructure, x: int, y: int) -> frozenset[int]:
 
 def is_regular_pair(s: IncidenceStructure, x: int, y: int) -> bool:
     """Whether the span of a non-collinear pair reaches its maximum size t + 1."""
-    _check_point(s, x)
-    _check_point(s, y)
+    _points(s, (x, y))
     params = verify_gq(s)
     if x == y or (s.neighbor_masks[x] >> y) & 1:
         raise ValueError("regularity is defined for non-collinear point pairs")
@@ -207,7 +200,7 @@ def _spans_about(s: IncidenceStructure, x: int) -> list[frozenset[int]] | None:
     decides every pair {x, y} in it.
     """
     t = verify_gq(s).t
-    _check_point(s, x)
+    _points(s, (x,))
     left = ((1 << s.point_count) - 1) & ~(s.neighbor_masks[x] | (1 << x))
     spans = []
     while left:
@@ -237,7 +230,7 @@ def payne_derivation(s: IncidenceStructure, x: int) -> IncidenceStructure:
     non-collinear ones, so no line comes twice.  Order (q - 1, q + 1).
     """
     params = verify_gq(s)
-    _check_point(s, x)
+    _points(s, (x,))
     if params.s != params.t or params.s < 2:
         raise ValueError(f"derivation needs order (q, q), q > 1, got {tuple(params)}")
     spans = _spans_about(s, x)

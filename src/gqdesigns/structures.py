@@ -4,6 +4,7 @@ The constructors alone hold the row rules, and check each row as they read
 it: a row is non-empty ints in 0..v-1 with no repeat, a design's blocks are
 as long as the first, an LRS class is non-empty and names each instance once.
 The first row that breaks a rule raises ValueError naming its index.
+_points alone checks that a point set given later holds ints in 0..v-1.
 
 Verifiers either return the computed parameters or raise a subclass of
 VerificationError carrying a concrete witness; they never return a bare
@@ -240,6 +241,22 @@ class LocalResolutionSystem:
         return f"LocalResolutionSystem({self.point_count} points)"
 
 
+def _points(s: IncidenceStructure, points: Iterable[int]) -> frozenset[int]:
+    """points, read once, as a set of points of s: the first non-int in input
+    order, bool included, else the lowest index outside 0..v-1, raises
+    ValueError, as malformed input rather than a failed verification."""
+    seq = tuple(points)
+    for p in seq:
+        if type(p) is not int and not _is_int(p):  # skip the call for an int
+            raise ValueError(f"point {p!r} is not an int")
+    pts = frozenset(seq)
+    v = s.point_count
+    if pts and (min(pts) < 0 or max(pts) >= v):
+        bad = min(p for p in pts if not 0 <= p < v)
+        raise ValueError(f"point {bad} outside 0..{v - 1}")
+    return pts
+
+
 def _disjoint(masks: Iterable[int]) -> bool:
     seen = 0
     for m in masks:
@@ -341,34 +358,26 @@ def verify_bibd(d: Design, allow_degenerate: bool = False) -> DesignParams:
 def verify_ovoid(s: IncidenceStructure, ovoid: Iterable[int]) -> None:
     """Check that the point set meets every line exactly once.
 
-    Expects a structure that passes verify_gq; the ovoid size 1 + s*t is then
-    a consequence and is checked.  Decided in O(|set|) from point_masks: the
-    set is an ovoid exactly when the lines through its points cover every
-    line and number as many as the lines.  Only a failure scans the lines,
-    to name the first one met other than once.
+    Expects a structure that passes verify_gq; a set not of points of s
+    fails _points.  Decided in O(|set|) from point_masks: each point is on
+    t + 1 of the (t + 1)(1 + st) lines, so a set of 1 + st points meets every
+    line once exactly when the lines through its points cover them all.  Only
+    a failure scans the lines, to name the first met other than once.
     """
     params = verify_gq(s)
-    pts = frozenset(ovoid)
+    pts = _points(s, ovoid)
     by_point = s.point_masks
-    n = s.point_count
-    met = hits = 0
+    met = 0
     for p in pts:
-        if not _is_int(p):
-            raise OvoidError((p,), f"ovoid point {p!r} is not an int")
-        if not 0 <= p < n:
-            raise OvoidError((p,), f"ovoid point {p} out of range")
-        lines = by_point[p]
-        met |= lines
-        hits += lines.bit_count()
-    b = len(s.lines)
-    if hits != b or met != (1 << b) - 1:
+        met |= by_point[p]
+    size = 1 + params.s * params.t
+    if len(pts) != size or met != (1 << len(s.lines)) - 1:
         for j, line in enumerate(s.lines):
             hits = len(pts.intersection(line))
             if hits != 1:
                 raise OvoidError((j, hits), f"line {j} meets the set in {hits} points, expected 1")
-    if len(pts) != 1 + params.s * params.t:
-        raise RuntimeError(f"ovoid of {len(pts)} points meets every line once, "
-                           f"but a GQ of order {tuple(params)} needs {1 + params.s * params.t}")
+        raise RuntimeError(f"set of {len(pts)} points meets every line once, "
+                           f"but a GQ of order {tuple(params)} needs {size}")
 
 
 def verify_lrs(d: Design, system: LocalResolutionSystem) -> None:

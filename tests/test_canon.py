@@ -386,6 +386,40 @@ def test_ovoids_must_come_in_pairs(w2, w2_ovoids):
         gq_isomorphic(w2, w2, w2_ovoids[0], None)
 
 
+def _edge_list_graph(s: IncidenceStructure, marked=frozenset()) -> ColoredGraph:
+    """The point/line or point/block graph, through build_graph from an
+    explicit edge list, with the colors incidence_graph and design_graph
+    give."""
+    v = s.point_count
+    if isinstance(s, Design):
+        counts = s.multiplicities
+        rows = sorted(counts)
+        colors = [(0, 0)] * v + [(1, counts[row]) for row in rows]
+    else:
+        rows = s.lines
+        colors = [(0, 1 if p in marked else 0) for p in range(v)]
+        colors += [(1, 0)] * len(rows)
+    edges = [(p, v + j) for j, row in enumerate(rows) for p in row]
+    return build_graph(v + len(rows), edges, colors)
+
+
+def test_structure_graphs_match_the_edge_list_build(w2, w2_ovoids):
+    w3 = _relabel_structure(symplectic_gq(3), random.Random(17))
+    cases = [(incidence_graph(w2), _edge_list_graph(w2)),
+             (incidence_graph(w2, w2_ovoids[0]), _edge_list_graph(w2, w2_ovoids[0])),
+             (incidence_graph(w3), _edge_list_graph(w3)),
+             (incidence_graph(hermitian_gq(2)), _edge_list_graph(hermitian_gq(2)))]
+    for d in (replicate(affine_plane(3), 3), sprott_design(3, 2, 3)[1]):
+        cases.append((design_graph(d), _edge_list_graph(d)))
+    for direct, listed in cases:
+        assert direct == listed
+        # == cannot tell True from 1, but the digest hashes repr(colors)
+        assert repr(direct.colors) == repr(listed.colors)
+        # nor a frozenset built from a list, whose table can be half again as
+        # large as one copied from a set
+        assert list(map(sys.getsizeof, direct.adj)) == list(map(sys.getsizeof, listed.adj))
+
+
 @pytest.mark.parametrize("edge", [(-1, 0), (0, 3), (5, 1)])
 def test_edges_must_join_vertices_of_the_graph(edge):
     with pytest.raises(ValueError, match=rf"edge \({edge[0]}, {edge[1]}\) has a vertex outside 0..2"):
@@ -416,7 +450,7 @@ def test_marked_points_must_be_ints(w2):
 
 def test_marked_points_must_lie_in_the_structure(w2):
     for bad, name in (({99}, "99"), ({0, 99}, "99"), ({-1, 3}, "-1")):
-        with pytest.raises(ValueError, match=f"marked point {name} outside"):
+        with pytest.raises(ValueError, match=f"point {name} outside"):
             incidence_graph(w2, bad)
     with pytest.raises(ValueError, match="99"):
         gq_isomorphic(w2, w2, {0, 99}, {0})

@@ -438,25 +438,36 @@ def test_payne_on_a_point_out_of_range_fails_with_one(w2_file, tmp_path):
         rep = report_of(proc)
         assert rep["verified"] == "false"
         assert rep["failure"] == "ValueError"
-        assert rep["detail"] == f"point {point} out of range"
+        assert rep["detail"] == f"point {point} outside 0..14"
         assert not (tmp_path / "x.inc").exists()
 
 
 def test_marked_points_outside_the_structure_fail_with_one(w2_file, tmp_path):
+    # one index past the end gets one report, whichever subcommand reads it
     (tmp_path / "far.ovoid").write_text("ovoid 1\n99\n")
     (tmp_path / "near_far.ovoid").write_text("ovoid 2\n0 99\n")
     (tmp_path / "near.ovoid").write_text("ovoid 1\n0\n")
     runs = [("canon", "w2.inc", "--ovoid", "far.ovoid"),
+            ("canon", "w2.inc", "--ovoid", "near_far.ovoid"),
             ("iso", "w2.inc", "w2.inc", "--ovoid-a", "near_far.ovoid",
-             "--ovoid-b", "near.ovoid")]
+             "--ovoid-b", "near.ovoid"),
+            ("iso", "w2.inc", "w2.inc", "--ovoid-a", "near.ovoid",
+             "--ovoid-b", "near_far.ovoid"),
+            ("verify", "ovoid", "w2.inc", "near_far.ovoid"),
+            ("map-n", "w2.inc", "near_far.ovoid"),
+            ("roundtrip", "gq", "w2.inc", "near_far.ovoid"),
+            ("prop32", "w2.inc", "near_far.ovoid"),
+            ("payne", "w2.inc", "--point", "99", "--out", "x.inc")]
     for args in runs:
         proc = run(*args, cwd=tmp_path)
         assert proc.returncode == 1, args
         rep = report_of(proc)
-        assert rep["verified"] == "false"
-        assert rep["failure"] == "ValueError"
-        assert "99" in rep["detail"]
+        assert rep["verified"] == "false", args
+        assert rep["failure"] == "ValueError", args
+        assert rep["detail"] == "point 99 outside 0..14", args
         assert "digest" not in rep and "isomorphic" not in rep
+        assert "roundtrip" not in rep and "regular_traces" not in rep
+    assert not (tmp_path / "x.inc").exists()
 
 
 # ---------------------------------------------------------

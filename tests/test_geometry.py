@@ -302,10 +302,10 @@ def test_payne_and_regularity_reject_points_out_of_range():
     s = symplectic_gq(3)
     for x in (s.point_count, -1):
         for fn in (payne_derivation, is_regular_point, perp):
-            with pytest.raises(ValueError, match=f"point {x} out of range"):
+            with pytest.raises(ValueError, match=f"point {x} outside 0..39"):
                 fn(s, x)
         for fn in (trace_pair, span_pair, is_regular_pair):
-            with pytest.raises(ValueError, match=f"point {x} out of range"):
+            with pytest.raises(ValueError, match=f"point {x} outside 0..39"):
                 fn(s, x, 0)
 
 

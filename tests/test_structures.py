@@ -4,8 +4,16 @@ import random
 import pytest
 
 from gqdesigns import _witness
+from gqdesigns.canon import gq_isomorphic, incidence_graph
 from gqdesigns.correspondence import design_from_ovoid
-from gqdesigns.geometry import hermitian_gq, parabolic_gq, symplectic_gq
+from gqdesigns.geometry import (
+    hermitian_gq,
+    parabolic_gq,
+    payne_derivation,
+    perp,
+    symplectic_gq,
+    trace_pair,
+)
 from gqdesigns.search import find_ovoids
 from gqdesigns.sprott import affine_plane, replicate, sprott_design, sprott_lrs
 from gqdesigns.structures import (
@@ -219,7 +227,7 @@ def test_every_w2_ovoid_meets_every_line_once(w2, w2_ovoids):
 def test_ovoid_refuses_bool_points(w2, w2_ovoids):
     pts = sorted(w2_ovoids[0])
     assert pts[0] == 0
-    with pytest.raises(OvoidError, match="ovoid point False is not an int"):
+    with pytest.raises(ValueError, match="point False is not an int"):
         verify_ovoid(w2, [False] + pts[1:])
 
 
@@ -228,8 +236,28 @@ def test_full_and_empty_point_sets_are_not_ovoids(w2):
         verify_ovoid(w2, range(15))
     with pytest.raises(OvoidError):
         verify_ovoid(w2, [])
-    with pytest.raises(OvoidError, match="ovoid point 15 out of range"):
+    with pytest.raises(ValueError, match="point 15 outside 0..14"):
         verify_ovoid(w2, [15])
+
+
+@pytest.mark.parametrize("bad, point, message", [
+    ([-1, 99], -1, "point -1 outside 0..14"),
+    ({15, 99}, 15, "point 15 outside 0..14"),  # a set that iterates 99 first
+    ([99, 0.5, "x"], 0.5, "point 0.5 is not an int"),
+])
+def test_every_layer_names_the_same_bad_point(w2, bad, point, message):
+    # the first non-int in input order, else the lowest index out of range,
+    # as a malformed input rather than a failed verification
+    checks = [lambda: verify_ovoid(w2, bad), lambda: incidence_graph(w2, bad),
+              lambda: gq_isomorphic(w2, w2, bad, {0}),
+              lambda: gq_isomorphic(w2, w2, {0}, bad),
+              lambda: trace_pair(w2, *list(bad)[:2]),
+              lambda: perp(w2, point), lambda: payne_derivation(w2, point)]
+    for check in checks:
+        with pytest.raises(ValueError) as exc:
+            check()
+        assert type(exc.value) is ValueError
+        assert str(exc.value) == message
 
 
 def _line_scan_verdict(s, pts):
@@ -437,9 +465,8 @@ def test_points_and_instances_must_be_ints(w2):
         Design(3, [[0, 1], [1, "2"]])
     with pytest.raises(ValueError, match="point 1, class 0"):
         LocalResolutionSystem([[[0]], [[0.5, 1]]])
-    with pytest.raises(OvoidError) as exc:
+    with pytest.raises(ValueError, match=r"point 0\.5 is not an int"):
         verify_ovoid(w2, [0.5])
-    assert exc.value.witness == (0.5,)
 
 
 def _rows(system):

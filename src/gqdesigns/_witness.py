@@ -26,15 +26,13 @@ def repeated_pair_scan(s: IncidenceStructure) -> None:
             if prev != j:
                 raise GQAxiomError(
                     1, (x, y, prev, j), f"points {x} and {y} lie on two common lines ({prev}, {j})")
-    raise RuntimeError("neighbour counts found a point pair on two lines; the scan found none")
+    raise RuntimeError("perp counts found a point pair on two lines; the scan found none")
 
 
 def axiom3_scan(s: IncidenceStructure) -> None:
     """Raise axiom 3 on the first point, then line, that it fails at."""
-    nbr = s.neighbor_masks
     masks = s.line_masks
-    for x in range(s.point_count):
-        reach = nbr[x] | (1 << x)
+    for x, reach in enumerate(s.perp_masks):
         for j, m in enumerate(masks):
             if m & (1 << x):
                 continue

@@ -57,7 +57,7 @@ def _design_from_ovoid(s: IncidenceStructure, source: Sequence[int], v: int
             o_mask |= 1 << x
 
     # ranks of ovoid points ascend with the points, so each block comes sorted
-    blocks = [[rank[p] for p in _bits(s.neighbor_masks[x] & o_mask)]
+    blocks = [[rank[p] for p in _bits(s.perp_masks[x] & o_mask)]
               for x in source[v:]]
 
     # an ovoid meets each line only at p, so the rest of the line is outside
@@ -217,7 +217,7 @@ def check_regular_traces(s: IncidenceStructure, ovoid) -> RegularTraceReport:
     ovoid = frozenset(ovoid)  # read an iterator once
     params = _verify_gq_with_ovoid(s, ovoid)
     o_mask = sum(1 << p for p in ovoid)
-    block = {x: s.neighbor_masks[x] & o_mask
+    block = {x: s.perp_masks[x] & o_mask
              for x in range(s.point_count) if not o_mask >> x & 1}
     twins: dict[int, list[int]] = {}
     for x, blk in block.items():

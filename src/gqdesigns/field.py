@@ -17,18 +17,7 @@ MAX_ORDER = 1 << 16
 
 
 def is_prime(n: int) -> bool:
-    if not _is_int(n) or n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
+    return factor_prime_power(n) == (n, 1)
 
 
 def factor_prime_power(q: int) -> tuple[int, int] | None:

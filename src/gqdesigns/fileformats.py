@@ -208,8 +208,10 @@ def write_ovoid(ovoid) -> str:
     if not pts:
         raise ValueError("an ovoid has at least one point")
     for p in pts:
-        if not _is_int(p) or p < 0:
-            raise ValueError(f"ovoid point {p!r} is not an int >= 0")
+        if not _is_int(p):
+            raise ValueError(f"ovoid point {p!r} is not an int")
+        if p < 0:
+            raise ValueError(f"ovoid point {p} is negative")
     pts.sort()
     if len(set(pts)) != len(pts):
         raise ValueError("ovoid points repeat")

@@ -29,7 +29,8 @@ z[m] = 0, has a 1 at m: each is read straight off the table with no
 normalization.  All arithmetic reads the add/mul/neg/inv tables of
 `field.field_tables`, and H(3,q^2) also reads Frobenius and norm tables.
 
-The regularity functions check their points with structures._points.
+The regularity functions work on the masks of the structure's perp_masks,
+and each checks its points once, with structures._points.
 """
 
 from __future__ import annotations
@@ -156,7 +157,7 @@ def hermitian_gq(q: int) -> IncidenceStructure:
 def perp(s: IncidenceStructure, x: int) -> frozenset[int]:
     """x together with every point collinear with x."""
     _points(s, (x,))
-    return frozenset(_bits(s.neighbor_masks[x] | (1 << x)))
+    return frozenset(_bits(s.perp_masks[x]))
 
 
 def _trace_mask(s: IncidenceStructure, x: int, y: int, what: str) -> int:
@@ -164,7 +165,15 @@ def _trace_mask(s: IncidenceStructure, x: int, y: int, what: str) -> int:
     _points(s, (x, y))
     if x == y:
         raise ValueError(f"{what} needs two distinct points")
-    return (s.neighbor_masks[x] | (1 << x)) & (s.neighbor_masks[y] | (1 << y))
+    return s.perp_masks[x] & s.perp_masks[y]
+
+
+def _span_mask(s: IncidenceStructure, trace: int) -> int:
+    """Mask of the points collinear with every point of trace, a mask of checked points."""
+    acc = (1 << s.point_count) - 1
+    for z in _bits(trace):
+        acc &= s.perp_masks[z]
+    return acc
 
 
 def trace_pair(s: IncidenceStructure, x: int, y: int) -> frozenset[int]:
@@ -174,23 +183,21 @@ def trace_pair(s: IncidenceStructure, x: int, y: int) -> frozenset[int]:
 
 def span_pair(s: IncidenceStructure, x: int, y: int) -> frozenset[int]:
     """Points collinear with every point of trace_pair(s, x, y)."""
-    acc = (1 << s.point_count) - 1
-    for z in _bits(_trace_mask(s, x, y, "span")):
-        acc &= s.neighbor_masks[z] | (1 << z)
-    return frozenset(_bits(acc))
+    return frozenset(_bits(_span_mask(s, _trace_mask(s, x, y, "span"))))
 
 
 def is_regular_pair(s: IncidenceStructure, x: int, y: int) -> bool:
     """Whether the span of a non-collinear pair reaches its maximum size t + 1."""
     _points(s, (x, y))
     params = verify_gq(s)
-    if x == y or (s.neighbor_masks[x] >> y) & 1:
+    perps = s.perp_masks
+    if perps[x] >> y & 1:  # y in x^perp, y == x included
         raise ValueError("regularity is defined for non-collinear point pairs")
-    return len(span_pair(s, x, y)) == params.t + 1
+    return _span_mask(s, perps[x] & perps[y]).bit_count() == params.t + 1
 
 
-def _spans_about(s: IncidenceStructure, x: int) -> list[frozenset[int]] | None:
-    """The spans {x,y}^perp-perp, y off x^perp, each once; None if x is not regular.
+def _spans_about(s: IncidenceStructure, x: int, t: int) -> list[int] | None:
+    """The span masks {x,y}^perp-perp, y off x^perp, each once; None if x is not regular.
 
     Every trace of a non-collinear pair has t + 1 points (Payne & Thas, 1.3).
     A point y' != x of the span of {x, y} is off x^perp and collinear with
@@ -199,26 +206,27 @@ def _spans_about(s: IncidenceStructure, x: int) -> list[frozenset[int]] | None:
     x^perp into classes, and the span of the lowest point of each class
     decides every pair {x, y} in it.
     """
-    t = verify_gq(s).t
-    _points(s, (x,))
-    left = ((1 << s.point_count) - 1) & ~(s.neighbor_masks[x] | (1 << x))
+    perps = s.perp_masks
+    reach = perps[x]
+    left = ((1 << s.point_count) - 1) & ~reach
     spans = []
     while left:
         y = (left & -left).bit_length() - 1
-        span = span_pair(s, x, y)
-        if x not in span:
+        span = _span_mask(s, reach & perps[y])
+        if not span >> x & 1:
             raise RuntimeError(f"span of ({x}, {y}) does not hold {x}")
-        if len(span) != t + 1:
+        if span.bit_count() != t + 1:
             return None
         spans.append(span)
-        for p in span:
-            left &= ~(1 << p)
+        left &= ~span
     return spans
 
 
 def is_regular_point(s: IncidenceStructure, x: int) -> bool:
     """Whether every pair {x, y} with y non-collinear to x is regular."""
-    return _spans_about(s, x) is not None
+    t = verify_gq(s).t
+    _points(s, (x,))
+    return _spans_about(s, x, t) is not None
 
 
 def payne_derivation(s: IncidenceStructure, x: int) -> IncidenceStructure:
@@ -233,15 +241,15 @@ def payne_derivation(s: IncidenceStructure, x: int) -> IncidenceStructure:
     _points(s, (x,))
     if params.s != params.t or params.s < 2:
         raise ValueError(f"derivation needs order (q, q), q > 1, got {tuple(params)}")
-    spans = _spans_about(s, x)
+    spans = _spans_about(s, x, params.t)
     if spans is None:
         raise ValueError(f"point {x} is not regular")
 
-    reach = s.neighbor_masks[x] | (1 << x)
+    reach = s.perp_masks[x]
     keep = [p for p in range(s.point_count) if not (reach >> p) & 1]
     new_index = {p: i for i, p in enumerate(keep)}
 
-    lines = [tuple(sorted(new_index[p] for p in span if p != x)) for span in spans]
+    lines = [tuple(new_index[p] for p in _bits(span ^ (1 << x))) for span in spans]
     for line in s.lines:
         if x in line:
             continue

@@ -284,12 +284,12 @@ def find_ovoids(s: IncidenceStructure, limit: Optional[int] = None,
     """Point sets meeting every line exactly once, via exact cover on lines.
 
     The structure must pass verify_gq.  Solutions are frozensets of points.
-    Points clash exactly when collinear, so the masks s caches are the tables.
+    Points clash exactly when collinear, so the masks s caches are the tables:
+    the conflict table is s.perp_masks.
     """
     _check_limit(limit)
     verify_gq(s)
-    conflict = [m | 1 << p for p, m in enumerate(s.neighbor_masks)]
-    res = _exact_cover(len(s.lines), s.point_masks, s.line_masks, conflict,
+    res = _exact_cover(len(s.lines), s.point_masks, s.line_masks, s.perp_masks,
                        limit, budget)
     for ovoid in res.solutions:
         verify_ovoid(s, ovoid)

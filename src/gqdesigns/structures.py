@@ -5,6 +5,8 @@ it: a row is non-empty ints in 0..v-1 with no repeat, a design's blocks are
 as long as the first, an LRS class is non-empty and names each instance once.
 The first row that breaks a rule raises ValueError naming its index.
 _points alone checks that a point set given later holds ints in 0..v-1.
+Three bitmask tables are cached from the rows: line_masks, point_masks, and
+perp_masks, the one place x^perp (x and every point on a line with x) is built.
 
 Verifiers either return the computed parameters or raise a subclass of
 VerificationError carrying a concrete witness; they never return a bare
@@ -14,7 +16,7 @@ The verifiers decide on bitmasks.  verify_gq counts: a triangle-free partial
 linear space of order (s,t) has at least (s+1)(st+1) points, with equality
 exactly when it is a GQ (Payne & Thas, Finite Generalized Quadrangles, 1.2).
 So axiom 3 holds exactly when there are (s+1)(st+1) points and each collinear
-pair has s - 1 common neighbours, none off its line L: the masks nbr[x] & ~L,
+pair has s - 1 common neighbours, none off its line L: the masks x^perp & ~L,
 x on L, are pairwise disjoint.  verify_non_triangular runs verify_lrs
 first, so each class less its point partitions the other points and two
 co-class instances share exactly their class point.  It keeps co[b], the
@@ -175,13 +177,13 @@ class IncidenceStructure:
         return tuple(masks)
 
     @cached_property
-    def neighbor_masks(self) -> tuple[int, ...]:
-        """Per point, bitmask of the other points sharing a line with it."""
-        nbr = [0] * self.point_count
+    def perp_masks(self) -> tuple[int, ...]:
+        """Per point x, bitmask of x^perp: x and every point sharing a line with it."""
+        perps = [1 << p for p in range(self.point_count)]
         for line, m in zip(self.lines, self.line_masks):
             for p in line:
-                nbr[p] |= m & ~(1 << p)
-        return tuple(nbr)
+                perps[p] |= m
+        return tuple(perps)
 
 
 class Design(IncidenceStructure):
@@ -285,11 +287,11 @@ def verify_gq(s: IncidenceStructure) -> GQParams:
         raise GQAxiomError(1, (order_t + 1,), "points must lie on at least two lines")
 
     # x shares at most one line with each other point exactly when the lines
-    # through x, less x, are disjoint
-    nbr = s.neighbor_masks
+    # through x, less x, are disjoint: x^perp has 1 + sum(|L| - 1) points
+    perps = s.perp_masks
     lines = s.lines
     for x, through in enumerate(s.lines_through):
-        if nbr[x].bit_count() != sum(len(lines[j]) for j in through) - len(through):
+        if perps[x].bit_count() != 1 + sum(len(lines[j]) for j in through) - len(through):
             from ._witness import repeated_pair_scan
             repeated_pair_scan(s)
 
@@ -305,7 +307,7 @@ def verify_gq(s: IncidenceStructure) -> GQParams:
     # half of the axiom is already covered by the test above
 
     if s.point_count != (order_s + 1) * (order_s * order_t + 1) or not all(
-            _disjoint(nbr[x] & ~m for x in line) for line, m in zip(lines, s.line_masks)):
+            _disjoint(perps[x] & ~m for x in line) for line, m in zip(lines, s.line_masks)):
         from ._witness import axiom3_scan
         axiom3_scan(s)
 

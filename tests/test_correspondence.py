@@ -58,7 +58,7 @@ def test_forward_map_blocks_are_ovoid_neighborhoods(w2, w2_ovoids):
     d, _ = design_from_ovoid(w2, o)
     opts = sorted(o)
     outside = [x for x in range(w2.point_count) if x not in o]
-    nbr = w2.neighbor_masks
+    nbr = w2.perp_masks
     for j, x in enumerate(outside):
         expect = sorted(i for i, p in enumerate(opts) if (nbr[x] >> p) & 1)
         assert tuple(expect) == d.blocks[j]
@@ -248,7 +248,7 @@ def _reference_regular_traces(s, ovoid):
     for x in outside:
         found = None
         for y in outside:
-            if y == x or (s.neighbor_masks[x] >> y) & 1:
+            if y == x or (s.perp_masks[x] >> y) & 1:
                 continue
             tr = trace_pair(s, x, y)
             if tr <= o_set and is_regular_pair(s, x, y):
@@ -260,7 +260,7 @@ def _reference_regular_traces(s, ovoid):
         elif failed is None:
             failed = x
     counts = collections.Counter(
-        frozenset(o_index[p] for p in o_set if (s.neighbor_masks[x] >> p) & 1)
+        frozenset(o_index[p] for p in o_set if (s.perp_masks[x] >> p) & 1)
         for x in outside)
     return RegularTraceReport(
         failed is None, witnesses, failed,
@@ -307,10 +307,10 @@ def test_maps_read_an_ovoid_given_as_an_iterator(w2, w2_ovoids):
 
 def test_regular_traces_test_one_pair_per_block(gq42):
     # twins share their trace, so one regularity test decides each block;
-    # the blocks come from the neighbour masks, not from a built design
+    # the blocks come from the perp masks, not from a built design
     forbid = mock.Mock(side_effect=AssertionError("no design or system is built"))
     for o in find_ovoids(gq42, limit=20).solutions:
-        blocks = {gq42.neighbor_masks[x] & sum(1 << p for p in o)
+        blocks = {gq42.perp_masks[x] & sum(1 << p for p in o)
                   for x in range(gq42.point_count) if x not in o}
         with mock.patch.object(geometry, "is_regular_pair",
                                wraps=is_regular_pair) as spy, \

@@ -52,6 +52,10 @@ def test_write_ovoid_refuses_what_parse_ovoid_refuses(w2_ovoids):
     for bad in ([True, 2], [2, 2], [-1], [1.5], ["3"]):
         with pytest.raises(ValueError):
             write_ovoid(bad)
+    with pytest.raises(ValueError, match=r"^ovoid point -1 is negative$"):
+        write_ovoid([2, -1])
+    with pytest.raises(ValueError, match=r"^ovoid point True is not an int$"):
+        write_ovoid([True, 2])
     # the same points as file rows ("3" is no str once written)
     for row in ("True 2", "2 2", "-1", "1.5"):
         with pytest.raises(FormatError):

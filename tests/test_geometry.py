@@ -287,9 +287,20 @@ def test_frozen_derivations(maker, q, digests):
 def test_payne_computes_one_span_per_line_through_the_centre(q):
     # q^3 points lie off x^perp and each span through x holds q of them
     s = symplectic_gq(q)
-    with mock.patch.object(geometry, "span_pair", wraps=geometry.span_pair) as spy:
+    with mock.patch.object(geometry, "_span_mask", wraps=geometry._span_mask) as spy:
         payne_derivation(s, 0)
     assert spy.call_count == q * q
+
+
+def test_each_geometry_call_checks_its_points_once():
+    s = symplectic_gq(3)
+    y = min(set(range(s.point_count)) - perp(s, 0))
+    for fn, args in [(perp, (0,)), (trace_pair, (0, y)), (span_pair, (0, y)),
+                     (is_regular_pair, (0, y)), (is_regular_point, (0,)),
+                     (payne_derivation, (0,))]:
+        with mock.patch.object(geometry, "_points", wraps=geometry._points) as spy:
+            fn(s, *args)
+        assert spy.call_count == 1, fn.__name__
 
 
 def test_payne_rejects_non_regular_point():
@@ -350,15 +361,12 @@ def check_payne_invariant_raises():
     Also run under python -O, where assert statements vanish.
     """
     s = symplectic_gq(2)
-    real = geometry.span_pair
+    real = geometry._span_mask
 
-    def span_without_x(s_, x, y):
-        return real(s_, x, y) - {x}
+    def span_without_centre(s_, trace):
+        return real(s_, trace) & ~1  # the centre is point 0
 
-    # the regularity check reads span_pair too; let it pass, so the broken
-    # span reaches the derivation itself
-    with mock.patch.object(geometry, "span_pair", span_without_x), \
-            mock.patch.object(geometry, "is_regular_point", return_value=True):
+    with mock.patch.object(geometry, "_span_mask", span_without_centre):
         with pytest.raises(RuntimeError):
             payne_derivation(s, 0)
 

@@ -56,7 +56,7 @@ def test_lines_are_sorted_and_validated():
 
 @pytest.mark.parametrize("count", [2.5, True, "4"])
 def test_point_count_must_be_an_int(count):
-    # 2.5 was accepted, and its neighbor_masks then raised TypeError
+    # 2.5 was accepted, and its mask tables then raised TypeError
     for cls in (IncidenceStructure, Design):
         with pytest.raises(ValueError, match="point count .* is not an int"):
             cls(count, [[0, 1]])
@@ -534,10 +534,13 @@ def _reference_verify_gq(s):
     if order_s < 1:
         raise GQAxiomError(2, (order_s + 1,), "lines must carry at least two points")
 
-    nbr = s.neighbor_masks
-    masks = s.line_masks
-    for x in range(s.point_count):
-        reach = nbr[x] | (1 << x)
+    # x^perp straight from the lines, not from the tables under test
+    masks = [sum(1 << p for p in line) for line in s.lines]
+    perps = [1 << x for x in range(s.point_count)]
+    for line, m in zip(s.lines, masks):
+        for p in line:
+            perps[p] |= m
+    for x, reach in enumerate(perps):
         for j, m in enumerate(masks):
             if m & (1 << x):
                 continue
@@ -677,6 +680,29 @@ def _relabeled(s, rng):
     lines = [[perm[p] for p in line] for line in s.lines]
     rng.shuffle(lines)
     return IncidenceStructure(s.point_count, lines)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: symplectic_gq(3), lambda: _relabeled(symplectic_gq(3), random.Random(7)),
+    lambda: hermitian_gq(2), lambda: dual(symplectic_gq(3)),
+    lambda: replicate(affine_plane(3), 3), lambda: IncidenceStructure(4, [[0, 1], [1, 2]])],
+    ids=["W(3)", "W(3) relabeled", "H(3,4)", "dual W(3)", "3xAG(2,3)", "point 3 on no line"])
+def test_mask_tables_match_the_rows(make):
+    # oracles from the rows as sets; 3xAG(2,3) repeats each block three times
+    s = make()
+    n = s.point_count
+
+    def mask(pts):
+        return sum(1 << p for p in set(pts))
+
+    assert s.line_masks == tuple(mask(line) for line in s.lines)
+    assert s.point_masks == tuple(mask(j for j, line in enumerate(s.lines) if x in line)
+                                  for x in range(n))
+    perps = [{x}.union(*(line for line in s.lines if x in line)) for x in range(n)]
+    assert s.perp_masks == tuple(mask(p) for p in perps)
+    for x in range(n):
+        if not any(x in line for line in s.lines):
+            assert s.perp_masks[x] == 1 << x  # x^perp of a point on no line is {x}
 
 
 def _damaged_structures(s, rng):

@@ -9,9 +9,12 @@ the most non-singleton cells, bliss's "fm" rule (Junttila & Kaski,
 graphs", ALENEX 2007).  Refinement queues all but the largest piece of a
 split cell, as in Hopcroft's "An n log n algorithm for minimizing states in
 a finite automaton" (1971), so a child, its parent already equitable,
-refines by the one vertex it individualized.  Subtrees whose trace already
-compares worse than the best leaf are cut.  Automorphisms prune the rest, as in McKay & Piperno,
-"Practical graph isomorphism, II" (J. Symb. Comput. 60, 2014):
+refines by the one vertex it individualized.  Such a one-vertex splitter,
+as in nauty, splits each cell it touches by membership in the vertex's
+neighbor set, with no counts built.  Subtrees whose trace already compares
+worse than the best leaf are cut.  Automorphisms prune the rest, as in
+McKay & Piperno, "Practical graph isomorphism, II" (J. Symb. Comput. 60,
+2014):
 
 * a leaf equal to the first leaf or to the best leaf gives an automorphism;
 * each node skips every child covered by the orbits of those it searched
@@ -35,7 +38,7 @@ Incidence structures and designs enter as colored bipartite graphs read
 straight off their rows (structures._points checks marked points);
 repeated blocks collapse to one vertex colored by multiplicity, which keeps
 huge instance-permutation groups out of the search entirely.  build_graph
-checks the edges a caller supplies.
+checks the edges and colors a caller supplies.
 """
 
 from __future__ import annotations
@@ -135,6 +138,13 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]],
     cols = tuple(colors)
     if len(cols) != n:
         raise ValueError("need one color per vertex")
+    # sorting needs one kind, and the digest hashes repr(colors), so equal
+    # colors must print alike: 1, 1.0 and True, all equal, may not be mixed
+    for v, c in enumerate(cols):
+        if type(c) is not type(cols[0]) or not (
+                type(c) is int or type(c) is tuple and all(type(x) is int for x in c)):
+            raise ValueError(f"vertex {v} has color {c!r}; colors must be all "
+                             "ints or all tuples of ints")
     return ColoredGraph(n, tuple(frozenset(a) for a in adj), cols)
 
 
@@ -188,7 +198,9 @@ def _refine(adj, cells: dict[int, list[int]], trace: list[int], work,
     first largest piece, whose counts follow from the whole cell's and the
     other pieces' (Hopcroft's rule).  Only cells meeting a splitter's
     neighborhood are examined, and the worklist drains as soon as the
-    partition is discrete.
+    partition is discrete.  A splitter of one vertex u makes the same
+    splits without counting: each cell it touches parts into the members
+    outside adj[u] (count 0) and those in it (count 1).
     """
     n = len(adj)
     cell_at = {x: start for start, cell in cells.items() if len(cell) > 1
@@ -200,8 +212,36 @@ def _refine(adj, cells: dict[int, list[int]], trace: list[int], work,
         splitter = work.popleft()
         queued.discard(splitter)
         splitters += 1
+        members = cells[splitter]
+        if len(members) == 1:
+            nb = adj[members[0]]
+            for start in sorted({cell_at[w] for w in nb if w in cell_at}):
+                cell = cells[start]
+                hit = [x for x in cell if x in nb]
+                if len(hit) == len(cell):
+                    continue
+                miss = [x for x in cell if x not in nb]
+                mid = start + len(miss)
+                splits += 1
+                trace += (-1, start, 0, len(miss), 1, len(hit))
+                cells[start] = miss
+                cells[mid] = hit
+                if len(miss) == 1:
+                    del cell_at[miss[0]]
+                if len(hit) == 1:
+                    del cell_at[hit[0]]
+                else:
+                    for x in hit:
+                        cell_at[x] = mid
+                # as below: a queued cell adds its hit piece, any other its
+                # smaller piece, the hit piece on a tie (max keeps the first)
+                if start in queued or len(hit) <= len(miss):
+                    start = mid
+                queued.add(start)
+                work.append(start)
+            continue
         cnt: dict[int, int] = {}
-        for u in cells[splitter]:
+        for u in members:
             for w in adj[u]:
                 cnt[w] = cnt.get(w, 0) + 1
         starts = {cell_at[w] for w in cnt if w in cell_at}
@@ -256,7 +296,7 @@ def _target(adj, cells: dict[int, list[int]], cell_at: dict[int, int]) -> int:
 def _leaf(adj, cells):
     order = [cells[start][0] for start in range(len(cells))]
     pos = {vtx: i for i, vtx in enumerate(order)}
-    rows = tuple(tuple(sorted(pos[w] for w in adj[vtx])) for vtx in order)
+    rows = tuple(tuple(sorted(map(pos.__getitem__, adj[vtx]))) for vtx in order)
     return rows, tuple(order)
 
 
@@ -350,7 +390,7 @@ def canonical_form(g: ColoredGraph,
         cell = cells[start]
         for v in cell:
             if merged < len(gens):
-                new = [gen for gen in gens[merged:] if all(gen[x] == x for x in path)]
+                new = [gen for gen in gens[merged:] if [gen[x] for x in path] == path]
                 merged = len(gens)
                 if new:
                     fixing += new

@@ -375,6 +375,8 @@ def _canon_counts(stats: CanonStats, rep: Report) -> None:
     rep.add("generators", stats.generators)
     rep.add("splitters", stats.splitters)
     rep.add("splits", stats.splits)
+    rep.add("orbit_prunes", stats.orbit_prunes)
+    rep.add("jumps", stats.jumps)
 
 
 def _canon_cut(stats: CanonStats, rep: Report) -> int:

@@ -2,6 +2,7 @@ import random
 import re
 import subprocess
 import sys
+from collections import deque
 from pathlib import Path
 from unittest import mock
 
@@ -216,6 +217,20 @@ def test_relabeled_w5_forms_agree_within_a_node_cap():
     digests = {canonical_form(g, Budget(max_nodes=200)).digest for g in graphs}
     assert len(digests) == 1
 
+
+def test_relabeled_order_7_quadrangles_share_a_digest():
+    # 800-vertex graphs, where most splitters are one vertex; W(7) and
+    # Q(4,7) are dual, not isomorphic, as q is odd
+    digests = []
+    for s in (symplectic_gq(7), parabolic_gq(7)):
+        graphs = [incidence_graph(_relabel_structure(s, random.Random(seed)))
+                  for seed in (1, 2, 3)]
+        got = {canonical_form(g).digest for g in graphs}
+        assert len(got) == 1
+        digests += got
+    assert digests[0] != digests[1]
+
+
 def _check_refinement(g: ColoredGraph, before: list[list[int]],
                       after: dict[int, list[int]]) -> None:
     """after is an equitable partition of g's vertices, named by the starts
@@ -288,6 +303,99 @@ def test_refinement_is_equitable_and_refines_its_input():
         before = [child[s] for s in sorted(child)]
         canon._refine(g.adj, child, [], [start], CanonStats())
         _check_refinement(g, before, child)
+
+
+def _reference_refine(adj, cells, trace, work, stats):
+    """canon._refine by its general rule alone: every splitter, one vertex
+    or more, splits by neighbor counts."""
+    n = len(adj)
+    cell_at = {x: start for start, cell in cells.items() if len(cell) > 1
+               for x in cell}
+    work = deque(work)
+    queued = set(work)
+    while work and len(cells) < n:
+        splitter = work.popleft()
+        queued.discard(splitter)
+        stats.splitters += 1
+        cnt = {}
+        for u in cells[splitter]:
+            for w in adj[u]:
+                cnt[w] = cnt.get(w, 0) + 1
+        for start in sorted({cell_at[w] for w in cnt if w in cell_at}):
+            parts = {}
+            for x in cells[start]:
+                parts.setdefault(cnt.get(x, 0), []).append(x)
+            if len(parts) == 1:
+                continue
+            stats.splits += 1
+            trace += [-1, start]
+            keys = sorted(parts)
+            largest = None if start in queued else max(keys, key=lambda k: len(parts[k]))
+            for key in keys:
+                piece = parts[key]
+                cells[start] = piece
+                trace += [key, len(piece)]
+                if len(piece) > 1:
+                    for x in piece:
+                        cell_at[x] = start
+                else:
+                    del cell_at[piece[0]]
+                if key != largest and start not in queued:
+                    queued.add(start)
+                    work.append(start)
+                start += len(piece)
+    return cell_at
+
+
+def _refine_both_ways(g: ColoredGraph, cells, work):
+    """canon._refine and the reference on copies of cells; both must give
+    the same cells, trace, cell map and counters.  Returns the cells."""
+    got, want = dict(cells), dict(cells)
+    got_trace, want_trace = [], []
+    got_stats, want_stats = CanonStats(), CanonStats()
+    got_at = canon._refine(g.adj, got, got_trace, list(work), got_stats)
+    want_at = _reference_refine(g.adj, want, want_trace, list(work), want_stats)
+    assert got == want and got_trace == want_trace and got_at == want_at
+    assert got_stats == want_stats
+    return got
+
+
+def _colored_cells(g: ColoredGraph):
+    by_color = {}
+    for v in range(g.n):
+        by_color.setdefault(g.colors[v], []).append(v)
+    cells, start = {}, 0
+    for key in sorted(by_color):
+        cells[start] = by_color[key]
+        start += len(by_color[key])
+    return cells
+
+
+def _individualize(cells, start, v):
+    child = dict(cells)
+    child[start], child[start + 1] = [v], [x for x in cells[start] if x != v]
+    return child
+
+
+def test_one_vertex_splits_follow_the_counting_rule():
+    rng = random.Random(19)
+    for _ in range(60):
+        g = _random_colored_graph(rng, rng.randrange(2, 20))
+        cells = _refine_both_ways(g, _colored_cells(g), list(_colored_cells(g)))
+        big = [start for start in sorted(cells) if len(cells[start]) > 1]
+        if big:
+            for v in cells[big[0]]:
+                _refine_both_ways(g, _individualize(cells, big[0], v), [big[0]])
+    w5 = _relabel_structure(symplectic_gq(5), random.Random(20))
+    for s in (symplectic_gq(3), w5):
+        g = incidence_graph(s)
+        cells = _refine_both_ways(g, _colored_cells(g), list(_colored_cells(g)))
+        # one point, then one line of the refined partition
+        for lines in (False, True):
+            start = min(start for start, cell in cells.items()
+                        if len(cell) > 1 and (cell[0] >= s.point_count) == lines)
+            cells = _refine_both_ways(
+                g, _individualize(cells, start, cells[start][0]), [start])
 
 
 def test_budget_cuts_canonical_form():
@@ -431,6 +539,17 @@ def test_graphs_refuse_loops_and_short_colorings():
         build_graph(3, [(0, 1), (2, 2)], [0] * 3)
     with pytest.raises(ValueError, match="^need one color per vertex$"):
         build_graph(3, [(0, 1)], [0] * 2)
+
+
+@pytest.mark.parametrize("colors, vertex", [
+    ([0, (1, 0), 0], 1),  # kinds that do not sort together
+    ([1.0, 0, 1], 0),     # equal colors that print apart, so that a
+    ([1, 0, 1.0], 2),     # relabeling would change the digest
+    ([True, 0, 1], 0),
+])
+def test_colors_must_be_all_ints_or_all_int_tuples(colors, vertex):
+    with pytest.raises(ValueError, match=rf"^vertex {vertex} has color "):
+        build_graph(3, [(0, 1), (1, 2)], colors)
 
 
 @pytest.mark.parametrize("edge", [(True, 2), (0, 2.0), ("0", 1)])

@@ -349,7 +349,8 @@ def test_canon_and_iso_report_refinement_work(w2_file, tmp_path):
         keys = list(rep)
         at = keys.index("generators")
         assert keys[at:at + 3] == ["generators", "splitters", "splits"]
-    for key in ("splitters", "splits"):
+        assert keys[at + 3:at + 5] == ["orbit_prunes", "jumps"]
+    for key in ("splitters", "splits", "orbit_prunes", "jumps"):
         assert int(a[key]) > 0
         assert int(both[key]) == int(a[key]) + int(b[key])
 

@@ -152,7 +152,7 @@ def _bipartite(v: int, rows, colors) -> ColoredGraph:
     """Each point p in 0..v-1 joined to vertex v + j of every row j holding p.
     Sets first: a frozenset copied from a set gets a table sized to fit, and
     from a list up to half again as large.  Reading the rows caches nothing
-    on the structure, as its lines_through would."""
+    on the structure, as its point_masks would."""
     adj = [set() for _ in range(v)]
     for j, row in enumerate(rows):
         for p in row:

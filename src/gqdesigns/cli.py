@@ -32,18 +32,19 @@ class UsageError(Exception):
 
 
 class Report:
-    """Ordered key/value document, printed and optionally saved."""
+    """Ordered key/value document, printed and optionally saved.  A key is
+    printed once, where it was first added; a file named twice hashes alike."""
 
     def __init__(self):
-        self.items: list[tuple[str, str]] = []
+        self.items: dict[str, str] = {}
 
     def add(self, key: str, value) -> None:
         if isinstance(value, bool):
             value = "true" if value else "false"
-        self.items.append((key, str(value)))
+        self.items[key] = str(value)
 
     def render(self) -> str:
-        return "".join(f"{k}: {v}\n" for k, v in self.items)
+        return "".join(f"{k}: {v}\n" for k, v in self.items.items())
 
 
 def _newlines(text: str) -> str:

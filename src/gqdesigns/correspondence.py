@@ -64,7 +64,7 @@ def _design_from_ovoid(s: IncidenceStructure, source: Sequence[int], v: int
     classes_by_point = []
     for p in source[:v]:
         classes = []
-        for j in s.lines_through[p]:
+        for j in _bits(s.point_masks[p]):
             classes.append([rank[x] - v for x in s.lines[j] if x != p])
         classes_by_point.append(classes)
     return Design(v, blocks), LocalResolutionSystem(classes_by_point)

@@ -45,6 +45,20 @@ def sprott_family(p: int, a: int, lam: int) -> DifferenceFamily:
     return DifferenceFamily(f, tuple(blocks))
 
 
+def _develop(fam: DifferenceFamily) -> tuple[Design, list[tuple[int, int]]]:
+    """The developed design and, per instance, its (base-block index, shift)."""
+    f = fam.field
+    # every element is in range, so no add needs Field.add's checks;
+    # GF(2^a) adds by xor
+    plus = xor if f.p == 2 else f._add
+    translates = []
+    for i, base in enumerate(fam.base_blocks):
+        for g in f.elements():
+            translates.append((tuple(sorted([plus(e, g) for e in base])), i, g))
+    translates.sort()
+    return Design(f.q, [t[0] for t in translates]), [t[1:] for t in translates]
+
+
 def sprott_design(p: int, a: int, lam: int) -> tuple[DifferenceFamily, Design]:
     """Develop the family through all translates.
 
@@ -52,16 +66,7 @@ def sprott_design(p: int, a: int, lam: int) -> tuple[DifferenceFamily, Design]:
     pins down instance indices and groups repeated contents together.
     """
     fam = sprott_family(p, a, lam)
-    f = fam.field
-    # every element is in range, so no add needs Field.add's checks;
-    # GF(2^a) adds by xor
-    plus = xor if p == 2 else f._add
-    translates = []
-    for i, base in enumerate(fam.base_blocks):
-        for g in f.elements():
-            translates.append((tuple(sorted([plus(e, g) for e in base])), i, g))
-    translates.sort()
-    return fam, Design(f.q, [t[0] for t in translates])
+    return fam, _develop(fam)[0]
 
 
 def affine_plane(q: int) -> Design:
@@ -73,7 +78,7 @@ def affine_plane(q: int) -> Design:
     blocks = []
     for m in f.elements():
         for c in f.elements():
-            blocks.append(tuple(sorted(x * q + f.add(f.mul(m, x), c) for x in f.elements())))
+            blocks.append(tuple(x * q + f.add(f.mul(m, x), c) for x in f.elements()))
     for c in f.elements():
         blocks.append(tuple(c * q + y for y in f.elements()))
     return Design(q * q, blocks)
@@ -95,14 +100,15 @@ def sprott_lrs(q: int) -> tuple[Design, LocalResolutionSystem]:
     block (0, 1, x^(q-1) + 1, ..., x^(q(q-1)) + 1).  Classes about any other
     point v are the translates by v of the classes about 0.
 
-    Each of the m * q^2 instances is recorded once as its base block i and
-    shift g, and so is each block of a class about 0; the translate by v of
-    (i, g) is the instance of (i, g + v), read from that record, so no
-    translated class is sorted or hashed.
+    The development records each of the m * q^2 instances as its base block i
+    and shift g, and each block of a class about 0 is looked up once by
+    content; the translate by v of (i, g) is the instance of (i, g + v), read
+    from that record, so no translated class is sorted or hashed.
     """
     if not _is_int(q) or q < 4 or q & (q - 1):
         raise ValueError(f"need a power of 2 with q >= 4, got {q!r}")
-    fam, design = sprott_design(2, 2 * (q.bit_length() - 1), q + 2)
+    fam = sprott_family(2, 2 * (q.bit_length() - 1), q + 2)
+    design, origin = _develop(fam)
     f = fam.field
     qq = f.q  # q^2 points
 
@@ -121,15 +127,10 @@ def sprott_lrs(q: int) -> tuple[Design, LocalResolutionSystem]:
     if len(index) != len(design.blocks):
         raise RuntimeError("the developed design repeats a block")
 
-    # instance[i][g] is base block i shifted by g, origin[j] = (i, g) of
-    # instance j; GF(2^a) adds by xor
-    instance = []
-    origin = [None] * len(design.blocks)
-    for i, base in enumerate(fam.base_blocks):
-        row = [index[tuple(sorted([e ^ g for e in base]))] for g in range(qq)]
-        for g, j in enumerate(row):
-            origin[j] = (i, g)
-        instance.append(row)
+    # instance[i][g] is base block i shifted by g; GF(2^a) adds by xor
+    instance = [[0] * qq for _ in fam.base_blocks]
+    for j, (i, g) in enumerate(origin):
+        instance[i][g] = j
     zero_origins = [[origin[index[content]] for content in cls] for cls in zero_classes]
 
     classes_by_point = [[[instance[i][g ^ v] for i, g in cls] for cls in zero_origins]

@@ -5,16 +5,22 @@ it: a row is non-empty ints in 0..v-1 with no repeat, a design's blocks are
 as long as the first, an LRS class is non-empty and names each instance once.
 The first row that breaks a rule raises ValueError naming its index.
 _points alone checks that a point set given later holds ints in 0..v-1.
-Three bitmask tables are cached from the rows: line_masks, point_masks, and
-perp_masks, the one place x^perp (x and every point on a line with x) is built.
+Three bitmask tables are cached from the rows, and they are the only incidence
+indexes: line_masks, point_masks (the one table of the lines through a point),
+and perp_masks, the one place x^perp (x and every point on a line with x) is
+built.
 
 Verifiers either return the computed parameters or raise a subclass of
 VerificationError carrying a concrete witness; they never return a bare
 pass/fail without evidence.  Point and line indices are 0-based everywhere.
 
-The verifiers decide on bitmasks.  verify_gq counts: a triangle-free partial
-linear space of order (s,t) has at least (s+1)(st+1) points, with equality
-exactly when it is a GQ (Payne & Thas, Finite Generalized Quadrangles, 1.2).
+The verifiers decide on bitmasks.  verify_gq counts.  |x^perp| - 1 is at
+most the sum of |L| - 1 over the lines L through x, with equality exactly
+when no point shares two lines with x; summed over x, axiom 1 holds exactly
+when the sum of |x^perp| - 1 equals the sum of |L|(|L| - 1) over all lines.
+A triangle-free partial linear space of order (s,t) has at least (s+1)(st+1)
+points, with equality exactly when it is a GQ (Payne & Thas, Finite
+Generalized Quadrangles, 1.2).
 So axiom 3 holds exactly when there are (s+1)(st+1) points and each collinear
 pair has s - 1 common neighbours, none off its line L: the masks x^perp & ~L,
 x on L, are pairwise disjoint.  verify_non_triangular runs verify_lrs
@@ -149,14 +155,6 @@ class IncidenceStructure:
         return f"IncidenceStructure({self.point_count} points, {len(self.lines)} lines)"
 
     @cached_property
-    def lines_through(self) -> tuple[tuple[int, ...], ...]:
-        thru = [[] for _ in range(self.point_count)]
-        for j, line in enumerate(self.lines):
-            for p in line:
-                thru[p].append(j)
-        return tuple(tuple(t) for t in thru)
-
-    @cached_property
     def line_masks(self) -> tuple[int, ...]:
         masks = []
         for line in self.lines:
@@ -277,7 +275,7 @@ def verify_gq(s: IncidenceStructure) -> GQParams:
     if cached is not None:
         return cached
 
-    degrees = {len(t) for t in s.lines_through}
+    degrees = {m.bit_count() for m in s.point_masks}
     if len(degrees) != 1:
         a = min(degrees)
         b = max(degrees)
@@ -286,14 +284,13 @@ def verify_gq(s: IncidenceStructure) -> GQParams:
     if order_t < 1:
         raise GQAxiomError(1, (order_t + 1,), "points must lie on at least two lines")
 
-    # x shares at most one line with each other point exactly when the lines
-    # through x, less x, are disjoint: x^perp has 1 + sum(|L| - 1) points
+    # axiom 1 by the global count in the module docstring
     perps = s.perp_masks
     lines = s.lines
-    for x, through in enumerate(s.lines_through):
-        if perps[x].bit_count() != 1 + sum(len(lines[j]) for j in through) - len(through):
-            from ._witness import repeated_pair_scan
-            repeated_pair_scan(s)
+    if sum(m.bit_count() for m in perps) - s.point_count \
+            != sum(len(line) * (len(line) - 1) for line in lines):
+        from ._witness import repeated_pair_scan
+        repeated_pair_scan(s)
 
     sizes = {len(line) for line in lines}
     if len(sizes) != 1:
@@ -456,10 +453,10 @@ def dual(s: IncidenceStructure) -> IncidenceStructure:
     Old line j becomes new point j; old point p becomes the new line listing
     the lines through p.  Points on no line would vanish, so they are refused.
     """
-    for p, through in enumerate(s.lines_through):
-        if not through:
-            raise ValueError(f"point {p} lies on no line; dual would drop it")
-    return IncidenceStructure(len(s.lines), s.lines_through)
+    through = s.point_masks
+    if 0 in through:
+        raise ValueError(f"point {through.index(0)} lies on no line; dual would drop it")
+    return IncidenceStructure(len(s.lines), map(_bits, through))
 
 
 def detect_replication(d: Design) -> Optional[tuple[Design, int]]:

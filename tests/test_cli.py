@@ -155,6 +155,18 @@ def test_input_digest_is_of_the_file_bytes(w2_file, tmp_path):
         "b93d8cd420ea679197d889991fa459eed44cc1a35e801fbd50348e1ebacf9626"
 
 
+def test_a_file_named_twice_is_reported_once(w2_file, tmp_path):
+    run("ovoids", "w2.inc", "--limit", "1", "--out", "ov", cwd=tmp_path)
+    # the traces in W(2) about its ovoids are not regular, so prop32 exits 1
+    for args, code in ((("iso", "w2.inc", "w2.inc"), 0),
+                       (("prop32", "w2.inc", "ov0.ovoid", "ov0.ovoid"), 1)):
+        proc = run(*args, cwd=tmp_path)
+        assert proc.returncode == code, proc.stderr
+        keys = [row.partition(": ")[0] for row in proc.stdout.splitlines()]
+        assert len(keys) == len(set(keys)), keys
+        assert "input.w2.inc.sha256" in keys
+
+
 def test_non_utf8_file_gives_exit_two(w2_file, tmp_path):
     (tmp_path / "bad.inc").write_bytes(b"inc 3 1\n0 \xff 2\n")
     for args in (("verify", "gq", "bad.inc"), ("canon", "bad.inc"),

@@ -179,12 +179,12 @@ def test_explicit_system_designs_repeat_no_block(a):
 
 
 def test_explicit_system_rejects_a_repeated_block():
-    real = sprott.sprott_design
+    real = sprott._develop
 
-    def doubled(p, a, lam):
-        fam, d = real(p, a, lam)
-        return fam, Design(d.point_count, d.blocks[:1] + d.blocks[:1] + d.blocks[2:])
+    def doubled(fam):
+        d, origin = real(fam)
+        return Design(d.point_count, d.blocks[:1] + d.blocks[:1] + d.blocks[2:]), origin
 
-    with mock.patch.object(sprott, "sprott_design", doubled):
+    with mock.patch.object(sprott, "_develop", doubled):
         with pytest.raises(RuntimeError):
             sprott_lrs(4)

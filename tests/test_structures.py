@@ -504,7 +504,7 @@ def test_non_triangular_rejects_what_verify_lrs_rejects(sprott4):
 # ---------------------------------------------------------
 
 def _reference_verify_gq(s):
-    degrees = {len(t) for t in s.lines_through}
+    degrees = {sum(x in line for line in s.lines) for x in range(s.point_count)}
     if len(degrees) != 1:
         a = min(degrees)
         b = max(degrees)
@@ -578,7 +578,7 @@ def _reference_verify_bibd(d, allow_degenerate=False):
                     (x, y, c, 0, 1, lam),
                     f"pair ({x},{y}) lies in {c} blocks but pair (0,1) lies in {lam}")
 
-    r = len(d.lines_through[0])
+    r = sum(0 in blk for blk in d.blocks)
     params = DesignParams(v, b, r, k, lam)
     if (k <= 2 or k >= v) and not allow_degenerate:
         raise DegenerateDesignError(
@@ -592,7 +592,7 @@ def _reference_verify_lrs(d, system):
                        f"system covers {system.point_count} points, design has {d.point_count}")
     blocks = d.blocks
     for p in range(d.point_count):
-        through = set(d.lines_through[p])
+        through = {j for j, blk in enumerate(blocks) if p in blk}
         assigned = set()
         for ci, cls in enumerate(system.classes[p]):
             for idx in cls:
@@ -703,6 +703,13 @@ def test_mask_tables_match_the_rows(make):
     for x in range(n):
         if not any(x in line for line in s.lines):
             assert s.perp_masks[x] == 1 << x  # x^perp of a point on no line is {x}
+    # dual's lines are the lines-through rows; a point on none is refused
+    rows = tuple(tuple(j for j, line in enumerate(s.lines) if x in line) for x in range(n))
+    if () in rows:
+        with pytest.raises(ValueError, match=f"^point {rows.index(())} lies on no line"):
+            dual(s)
+    else:
+        assert dual(s).lines == rows
 
 
 def _damaged_structures(s, rng):

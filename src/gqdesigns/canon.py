@@ -36,9 +36,10 @@ with a cell's index, so they compare as they would with indices.
 
 Incidence structures and designs enter as colored bipartite graphs read
 straight off their rows (structures._points checks marked points);
-repeated blocks collapse to one vertex colored by multiplicity, which keeps
-huge instance-permutation groups out of the search entirely.  build_graph
-checks the edges and colors a caller supplies.
+repeated blocks, the groups of Design.instances(), collapse to one vertex
+colored by their number, which keeps huge instance-permutation groups out
+of the search entirely.  build_graph checks the edges and colors a caller
+supplies.
 """
 
 from __future__ import annotations
@@ -172,12 +173,12 @@ def incidence_graph(s: IncidenceStructure,
 def design_graph(d: Design) -> ColoredGraph:
     """Bipartite point/block graph with repeated blocks merged.
 
-    Each distinct block content is one vertex colored by its multiplicity, so
-    isomorphism treats instances of a repeated block as interchangeable.
+    Each content of d.instances(), sorted, is one vertex colored (1, number
+    of its instances), so isomorphism treats copies of a block as interchangeable.
     """
-    counts = d.multiplicities
-    contents = sorted(counts)
-    colors = [(0, 0)] * d.point_count + [(1, counts[c]) for c in contents]
+    groups = d.instances()
+    contents = sorted(groups)
+    colors = [(0, 0)] * d.point_count + [(1, len(groups[c])) for c in contents]
     return _bipartite(d.point_count, contents, colors)
 
 
@@ -488,10 +489,10 @@ def gq_isomorphic(s1: IncidenceStructure, s2: IncidenceStructure,
 def designs_isomorphic(d1: Design, d2: Design,
                        budget: Optional[Budget] = None,
                        stats: Optional[CanonStats] = None):
-    """Design isomorphism respecting block multiplicities.
+    """Design isomorphism respecting how often each block repeats.
 
     Returns (flag, point bijection); a repeated block's vertex is colored by
-    its multiplicity, so instances of repeated blocks match in number.
+    its number of instances, so instances of repeated blocks match in number.
     budget and stats are as for are_isomorphic.
     """
     return _point_map(design_graph(d1), design_graph(d2), d1.point_count, budget, stats)

@@ -33,10 +33,12 @@ class UsageError(Exception):
 
 class Report:
     """Ordered key/value document, printed and optionally saved.  A key is
-    printed once, where it was first added; a file named twice hashes alike."""
+    printed once, where it was first added.  inputs keeps the bytes of each
+    path read in this run, so a path named twice is read and hashed once."""
 
     def __init__(self):
         self.items: dict[str, str] = {}
+        self.inputs: dict[str, bytes] = {}
 
     def add(self, key: str, value) -> None:
         if isinstance(value, bool):
@@ -53,15 +55,18 @@ def _newlines(text: str) -> str:
 
 
 def _load(path: str, parse, rep: Report):
-    """Read an input file, record the sha256 of its bytes in the report and
-    parse it as UTF-8 text with its newlines made LF."""
-    import hashlib  # loads OpenSSL, which a run that reads no file skips
-    try:
-        with open(path, "rb") as fh:
-            data = fh.read()
-    except OSError as exc:
-        raise UsageError(f"cannot read {path}: {exc.strerror}") from exc
-    rep.add(f"input.{path}.sha256", hashlib.sha256(data).hexdigest())
+    """Read an input file, unless this run has read its path already (a pipe
+    such as /dev/stdin reads empty the second time), record the sha256 of its
+    bytes in the report and parse it as UTF-8 text with its newlines made LF."""
+    data = rep.inputs.get(path)
+    if data is None:
+        import hashlib  # loads OpenSSL, which a run that reads no file skips
+        try:
+            with open(path, "rb") as fh:
+                data = rep.inputs[path] = fh.read()
+        except OSError as exc:
+            raise UsageError(f"cannot read {path}: {exc.strerror}") from exc
+        rep.add(f"input.{path}.sha256", hashlib.sha256(data).hexdigest())
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:

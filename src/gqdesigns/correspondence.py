@@ -146,18 +146,13 @@ def roundtrip_design(d: Design, system: LocalResolutionSystem) -> bool:
     """Whether design -> quadrangle -> design reproduces blocks and classes.
 
     The reconstruction maps design point i to itself and instance j to the
-    outside point v + j, so the comparison is direct: equal block multisets
-    and equal class partitions at every point.
+    outside point v + j, which is read back as instance j, so the comparison
+    is instance by instance: equal block lists and equal systems.
     """
     labeled = gq_from_design(d, system)
     back_design, back_system = _design_from_ovoid(
         labeled.structure, range(labeled.structure.point_count), d.point_count)
-    if sorted(back_design.blocks) != sorted(d.blocks):
-        return False
-    for p in range(d.point_count):
-        if set(system.classes[p]) != set(back_system.classes[p]):
-            return False
-    return True
+    return back_design.blocks == d.blocks and back_system == system
 
 
 def roundtrip_gq(s: IncidenceStructure, ovoid) -> bool:

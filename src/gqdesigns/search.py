@@ -305,10 +305,10 @@ def find_ntlrs(design: Design, limit: Optional[int] = None,
     and a member, so every emitted system is non-triangular by construction
     (and re-verified before it is returned).  At each point, classes are
     generated in ascending order of their smallest member, and each class
-    grows by always covering the lowest uncovered point next.  Repeated block
-    contents are interchangeable, so the instances of one content are
-    consumed in ascending index order at the content's lowest point; that
-    one point's choice fixes their alignment everywhere.
+    grows by always covering the lowest uncovered point next.  Twin rule: the
+    copies of a block, one content of design.instances(), are interchangeable
+    and are consumed in ascending index order at the content's lowest point;
+    that one point's choice fixes their alignment everywhere.
     """
     _check_limit(limit)
     params = verify_bibd(design)
@@ -324,10 +324,7 @@ def find_ntlrs(design: Design, limit: Optional[int] = None,
     # guard[p][i] is the bit of i's next lower twin: at p, i may join a
     # class only once that twin has
     guard: list[dict[int, int]] = [{} for _ in range(v)]
-    groups: dict[tuple, list[int]] = {}
-    for i, blk in enumerate(design.blocks):
-        groups.setdefault(blk, []).append(i)
-    for content, members in groups.items():
+    for content, members in design.instances().items():
         for prev, i in zip(members, members[1:]):
             guard[content[0]][i] = 1 << prev
     nbr = [0] * len(masks)

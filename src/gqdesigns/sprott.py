@@ -101,9 +101,9 @@ def sprott_lrs(q: int) -> tuple[Design, LocalResolutionSystem]:
     point v are the translates by v of the classes about 0.
 
     The development records each of the m * q^2 instances as its base block i
-    and shift g, and each block of a class about 0 is looked up once by
-    content; the translate by v of (i, g) is the instance of (i, g + v), read
-    from that record, so no translated class is sorted or hashed.
+    and shift g, and each block of a class about 0 is found once in
+    design.instances(); the translate by v of (i, g) is the instance of
+    (i, g + v), read from that record, so no translated class is sorted or hashed.
     """
     if not _is_int(q) or q < 4 or q & (q - 1):
         raise ValueError(f"need a power of 2 with q >= 4, got {q!r}")
@@ -123,15 +123,15 @@ def sprott_lrs(q: int) -> tuple[Design, LocalResolutionSystem]:
         zero_classes.append(cls)
 
     # no block of this family repeats, so each content names one instance
-    index = {blk: j for j, blk in enumerate(design.blocks)}
-    if len(index) != len(design.blocks):
+    instances = design.instances()
+    if len(instances) != len(design.blocks):
         raise RuntimeError("the developed design repeats a block")
 
     # instance[i][g] is base block i shifted by g; GF(2^a) adds by xor
     instance = [[0] * qq for _ in fam.base_blocks]
     for j, (i, g) in enumerate(origin):
         instance[i][g] = j
-    zero_origins = [[origin[index[content]] for content in cls] for cls in zero_classes]
+    zero_origins = [[origin[instances[content][0]] for content in cls] for cls in zero_classes]
 
     classes_by_point = [[[instance[i][g ^ v] for i, g in cls] for cls in zero_origins]
                         for v in range(qq)]

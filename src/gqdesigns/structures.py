@@ -35,7 +35,6 @@ the order always reported.
 
 from __future__ import annotations
 
-from collections import Counter
 from functools import cached_property
 from typing import Iterable, NamedTuple, Optional
 
@@ -194,10 +193,13 @@ class Design(IncidenceStructure):
     def blocks(self) -> tuple[tuple[int, ...], ...]:
         return self.lines
 
-    @cached_property
-    def multiplicities(self) -> dict[tuple[int, ...], int]:
-        """Number of instances of each distinct block content."""
-        return dict(Counter(self.lines))
+    def instances(self) -> dict[tuple[int, ...], tuple[int, ...]]:
+        """Each distinct block content, in order of first occurrence, to the ascending
+        indices of its instances; not cached, as it is as large as the block list."""
+        groups: dict[tuple[int, ...], list[int]] = {}
+        for j, blk in enumerate(self.lines):
+            groups.setdefault(blk, []).append(j)
+        return {blk: tuple(ix) for blk, ix in groups.items()}
 
     def __repr__(self):
         return f"Design({self.point_count} points, {len(self.lines)} blocks)"
@@ -462,15 +464,15 @@ def dual(s: IncidenceStructure) -> IncidenceStructure:
 def detect_replication(d: Design) -> Optional[tuple[Design, int]]:
     """Largest uniform repetition factor of the block multiset.
 
-    When every distinct block occurs exactly n >= 2 times, returns the
-    deduplicated design and n; otherwise None.
+    When every distinct block of d.instances() has exactly n >= 2 instances,
+    returns the design of the distinct blocks, sorted, and n; otherwise None.
     """
     verify_bibd(d, allow_degenerate=True)
-    counts = d.multiplicities
-    mults = set(counts.values())
+    groups = d.instances()
+    mults = {len(ix) for ix in groups.values()}
     if len(mults) != 1:
         return None
     n = mults.pop()
     if n < 2:
         return None
-    return Design(d.point_count, sorted(counts)), n
+    return Design(d.point_count, sorted(groups)), n

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import subprocess
 import sys
 
@@ -21,10 +22,10 @@ from gqdesigns.structures import DesignParams, GQParams, verify_bibd, verify_gq
 from conftest import FANO_BLOCKS, _w2, _w2_ovoids, child_env
 
 
-def run(*args, cwd):
+def run(*args, cwd, input=None):
     proc = subprocess.run([sys.executable, "-m", "gqdesigns.cli", *args],
                           capture_output=True, text=True, cwd=cwd,
-                          env=child_env())
+                          env=child_env(), input=input)
     return proc
 
 
@@ -165,6 +166,15 @@ def test_a_file_named_twice_is_reported_once(w2_file, tmp_path):
         keys = [row.partition(": ")[0] for row in proc.stdout.splitlines()]
         assert len(keys) == len(set(keys)), keys
         assert "input.w2.inc.sha256" in keys
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="no /dev/stdin")
+def test_a_pipe_named_twice_is_read_once(w2_file, tmp_path):
+    # a second open of the pipe would read nothing
+    proc = run("iso", "/dev/stdin", "/dev/stdin", cwd=tmp_path,
+               input=w2_file.read_text())
+    assert proc.returncode == 0, proc.stderr
+    assert report_of(proc)["isomorphic"] == "true"
 
 
 def test_non_utf8_file_gives_exit_two(w2_file, tmp_path):

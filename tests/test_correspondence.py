@@ -178,6 +178,23 @@ def test_roundtrip_gq_rejects_a_damaged_back_map(w2, w2_ovoids):
             assert not roundtrip_gq(w2, o)
 
 
+def test_roundtrip_design_rejects_swapped_instances(sprott4):
+    # the back map gives instances 0 and 1 each other's block: the block
+    # multiset is kept, but each instance comes back with the wrong block
+    real = correspondence._design_from_ovoid
+
+    def swapped(s, source, v):
+        d, system = real(s, source, v)
+        blocks = list(d.blocks)
+        blocks[0], blocks[1] = blocks[1], blocks[0]
+        return Design(d.point_count, blocks), system
+
+    d, system = sprott4
+    assert d.blocks[0] != d.blocks[1]
+    with mock.patch.object(correspondence, "_design_from_ovoid", swapped):
+        assert not roundtrip_design(d, system)
+
+
 def test_each_verifier_runs_once_per_call(w2, w2_ovoids, sprott4):
     names = ["verify_gq", "verify_ovoid", "verify_bibd", "verify_non_triangular"]
     # input_check names the verifier that checks each call's input

@@ -85,6 +85,27 @@ def test_design_messages_name_the_block(blocks, message):
     assert str(exc.value) == message
 
 
+def test_instances_group_each_content():
+    plane = affine_plane(3)
+    tripled = replicate(plane, 3)
+    sprott9 = sprott_design(3, 2, 3)[1]
+    apart = Design(3, [(0, 1), (1, 2), (0, 1)])  # copies 0 and 2 not adjacent
+    assert apart.instances() == {(0, 1): (0, 2), (1, 2): (1,)}
+    assert tripled.instances() == {blk: (3 * i, 3 * i + 1, 3 * i + 2)
+                                   for i, blk in enumerate(plane.blocks)}
+    for d in (tripled, sprott9, apart):
+        groups = d.instances()
+        firsts = [blk for j, blk in enumerate(d.blocks) if blk not in d.blocks[:j]]
+        assert list(groups) == firsts
+        for content, ix in groups.items():
+            assert type(ix) is tuple and list(ix) == sorted(set(ix))
+            assert [d.blocks[j] for j in ix] == [content] * len(ix)
+        assert sorted(j for ix in groups.values() for j in ix) == list(range(len(d.blocks)))
+    # Sprott's GF(9) design is 3 x AG(2,3): 12 contents, 3 instances each
+    assert [len(ix) for ix in sprott9.instances().values()] == [3] * 12
+    assert sprott9.instances() is not sprott9.instances()  # built per call
+
+
 def test_incidence_structure_refuses_bool_points():
     # a bool would be written as the word True and fail to parse back
     with pytest.raises(ValueError) as exc:

@@ -11,10 +11,10 @@ split cell, as in Hopcroft's "An n log n algorithm for minimizing states in
 a finite automaton" (1971), so a child, its parent already equitable,
 refines by the one vertex it individualized.  Such a one-vertex splitter,
 as in nauty, splits each cell it touches by membership in the vertex's
-neighbor set, with no counts built.  Subtrees whose trace already compares
-worse than the best leaf are cut.  Automorphisms prune the rest, as in
-McKay & Piperno, "Practical graph isomorphism, II" (J. Symb. Comput. 60,
-2014):
+neighbor set, with no counts built; a larger one counts neighbors in bit
+planes.  Subtrees whose trace already compares worse than the best leaf are
+cut.  Automorphisms prune the rest, as in McKay & Piperno, "Practical graph
+isomorphism, II" (J. Symb. Comput. 60, 2014):
 
 * a leaf equal to the first leaf or to the best leaf gives an automorphism;
 * each node skips every child covered by the orbits of those it searched
@@ -28,11 +28,13 @@ None of these cuts a leaf better than the kept best, so the canonical form
 does not depend on them.
 
 An ordered partition is held as a map from each cell's start, the offset of
-its first vertex in the vertex order, to the cell, as nauty's lab/ptn arrays
-name cells.  A split leaves every other cell where it was, so nothing is
-renumbered, and a child node copies one map.  Traces name cells by start;
-traces that agree so far describe the same partition, on which start grows
-with a cell's index, so they compare as they would with indices.
+its first vertex in the vertex order, to the cell as an int mask of its
+vertices, beside a mask of the vertices in non-singleton cells and a list
+of each one's start; _partition refines it.  A split leaves every other
+cell where it was, so nothing is renumbered, and a child node copies the
+map and the list.  Traces name cells by start; traces that agree so far
+describe the same partition, on which start grows with a cell's index, so
+they compare as they would with indices.
 
 Incidence structures and designs enter as colored bipartite graphs read
 straight off their rows (structures._points checks marked points);
@@ -45,12 +47,11 @@ supplies.
 from __future__ import annotations
 
 import hashlib
-from collections import deque
 from itertools import accumulate
 from typing import Iterable, NamedTuple, Optional
 
 from .search import Budget, _Meter, _Record, _Stop
-from .structures import Design, IncidenceStructure, _is_int, _points
+from .structures import Design, IncidenceStructure, _bits, _is_int, _points
 
 
 class ColoredGraph(NamedTuple):
@@ -182,120 +183,8 @@ def design_graph(d: Design) -> ColoredGraph:
     return _bipartite(d.point_count, contents, colors)
 
 
-def _refine(adj, cells: dict[int, list[int]], trace: list[int], work,
-            stats: CanonStats) -> dict[int, int]:
-    """Split cells by neighbor counts into splitters, the cells whose starts
-    work lists first, until the partition is equitable; returns the map from
-    each vertex of a non-singleton cell to its cell's start.
-
-    cells maps each cell's start to the cell and is updated in place.  A
-    split puts its pieces, in count order, at the cell's own start onward,
-    so no other cell moves and the touched cells are visited in start
-    order, which is their order in the partition.  The split events (cell
-    start, count, part size, ...) go to the trace, which is what search
-    ordering compares; start stands in for the cell's index because it
-    grows with it (see the module docstring).  A split cell still waiting
-    to split others queues all its pieces; any other queues all but its
-    first largest piece, whose counts follow from the whole cell's and the
-    other pieces' (Hopcroft's rule).  Only cells meeting a splitter's
-    neighborhood are examined, and the worklist drains as soon as the
-    partition is discrete.  A splitter of one vertex u makes the same
-    splits without counting: each cell it touches parts into the members
-    outside adj[u] (count 0) and those in it (count 1).
-    """
-    n = len(adj)
-    cell_at = {x: start for start, cell in cells.items() if len(cell) > 1
-               for x in cell}
-    work = deque(work)
-    queued = set(work)
-    splitters = splits = 0
-    while work and len(cells) < n:
-        splitter = work.popleft()
-        queued.discard(splitter)
-        splitters += 1
-        members = cells[splitter]
-        if len(members) == 1:
-            nb = adj[members[0]]
-            for start in sorted({cell_at[w] for w in nb if w in cell_at}):
-                cell = cells[start]
-                hit = [x for x in cell if x in nb]
-                if len(hit) == len(cell):
-                    continue
-                miss = [x for x in cell if x not in nb]
-                mid = start + len(miss)
-                splits += 1
-                trace += (-1, start, 0, len(miss), 1, len(hit))
-                cells[start] = miss
-                cells[mid] = hit
-                if len(miss) == 1:
-                    del cell_at[miss[0]]
-                if len(hit) == 1:
-                    del cell_at[hit[0]]
-                else:
-                    for x in hit:
-                        cell_at[x] = mid
-                # as below: a queued cell adds its hit piece, any other its
-                # smaller piece, the hit piece on a tie (max keeps the first)
-                if start in queued or len(hit) <= len(miss):
-                    start = mid
-                queued.add(start)
-                work.append(start)
-            continue
-        cnt: dict[int, int] = {}
-        for u in members:
-            for w in adj[u]:
-                cnt[w] = cnt.get(w, 0) + 1
-        starts = {cell_at[w] for w in cnt if w in cell_at}
-        for start in sorted(starts):
-            parts: dict[int, list[int]] = {}
-            for x in cells[start]:
-                parts.setdefault(cnt.get(x, 0), []).append(x)
-            if len(parts) == 1:
-                continue
-            splits += 1
-            trace.append(-1)
-            trace.append(start)
-            keys = sorted(parts)
-            largest = None if start in queued else max(keys, key=lambda k: len(parts[k]))
-            for key in keys:
-                piece = parts[key]
-                cells[start] = piece
-                trace.append(key)
-                trace.append(len(piece))
-                if len(piece) > 1:
-                    for x in piece:
-                        cell_at[x] = start
-                else:
-                    del cell_at[piece[0]]
-                if key != largest and start not in queued:
-                    queued.add(start)
-                    work.append(start)
-                start += len(piece)
-    stats.splitters += splitters
-    stats.splits += splits
-    return cell_at
-
-
-def _target(adj, cells: dict[int, list[int]], cell_at: dict[int, int]) -> int:
-    """Start of the first non-singleton cell joined non-trivially (some but
-    not all members adjacent) to the most non-singleton cells; cell_at is
-    _refine's map.  The partition is equitable, so one member stands for its
-    cell."""
-    most, target = -1, 0
-    for start in sorted(s for s, cell in cells.items() if len(cell) > 1):
-        cnt: dict[int, int] = {}
-        for w in adj[cells[start][0]]:
-            other = cell_at.get(w)
-            if other is not None:
-                cnt[other] = cnt.get(other, 0) + 1
-        joined = sum(c < len(cells[other]) for other, c in cnt.items())
-        if joined > most:
-            most, target = joined, start
-    return target
-
-
 def _leaf(adj, cells):
-    order = [cells[start][0] for start in range(len(cells))]
+    order = [cells[start].bit_length() - 1 for start in range(len(cells))]
     pos = {vtx: i for i, vtx in enumerate(order)}
     rows = tuple(tuple(sorted(map(pos.__getitem__, adj[vtx]))) for vtx in order)
     return rows, tuple(order)
@@ -319,17 +208,26 @@ def canonical_form(g: ColoredGraph,
     The budget is ticked once per search node, and its clock is read at
     every node, since each node costs a full refinement.
     """
+    # the refinement engine loads with the first form, not with canon, whose
+    # graph builders and types are imported without it
+    from ._partition import refine, target
+
     n = g.n
     adj = g.adj
     stats = CanonStats()
     meter = _Meter(budget, every=1)
-    by_color: dict[tuple[int, int], list[int]] = {}
+    am = [sum(1 << w for w in a) for a in adj]
+    by_color: dict[tuple[int, int], int] = {}
     for vtx in range(n):
-        by_color.setdefault(g.colors[vtx], []).append(vtx)
-    colored = [by_color[key] for key in sorted(by_color)]
-    cells0 = dict(zip(accumulate(map(len, colored), initial=0), colored))
+        by_color[g.colors[vtx]] = by_color.get(g.colors[vtx], 0) | 1 << vtx
+    keys = sorted(by_color)
+    starts = dict(zip(keys, accumulate((by_color[k].bit_count() for k in keys),
+                                       initial=0)))
+    cells0 = {starts[k]: by_color[k] for k in keys}
+    at0 = [starts[c] for c in g.colors]
+    live0 = sum(cell for cell in cells0.values() if cell & (cell - 1))
     trace0: list[int] = []
-    at0 = _refine(adj, cells0, trace0, list(cells0), stats)
+    live0 = refine(am, cells0, at0, live0, trace0, list(cells0), stats)
 
     # a leaf is (trace, rows, order, path)
     first: Optional[tuple] = None
@@ -342,7 +240,7 @@ def canonical_form(g: ColoredGraph,
     # found below the current node restores tightness for later siblings.
     # Returns the depth at which the search resumes: len(path) normally, less
     # when a new automorphism shows that the subtree there was searched.
-    def rec(cells: dict[int, list[int]], cell_at: dict[int, int],
+    def rec(cells: dict[int, int], cell_at: list[int], live: int,
             trace: list[int], base: int, tight: bool, path: list[int]) -> int:
         nonlocal best, first, version
         meter.tick()
@@ -387,9 +285,13 @@ def canonical_form(g: ColoredGraph,
         fixing: list[list[int]] = []
         merged = 0
         covered: set[int] = set()
-        start = _target(adj, cells, cell_at)
+        start = target(am, cells, cell_at, live)
         cell = cells[start]
-        for v in cell:
+        vertices = _bits(cell)
+        rest_at = cell_at[:]
+        for x in vertices:
+            rest_at[x] = start + 1
+        for v in vertices:
             if merged < len(gens):
                 new = [gen for gen in gens[merged:] if [gen[x] for x in path] == path]
                 merged = len(gens)
@@ -401,15 +303,20 @@ def canonical_form(g: ColoredGraph,
                 continue
             covered.add(v)
             _close(covered, [v], fixing)
+            rest = cell ^ 1 << v
             child = dict(cells)
-            child[start], child[start + 1] = [v], [x for x in cell if x != v]
+            child[start], child[start + 1] = 1 << v, rest
+            child_live = live ^ (1 << v if rest & (rest - 1) else cell)
             child_trace = list(trace)
             child_trace.append(-2)
             child_trace.append(start)
-            child_at = _refine(adj, child, child_trace, [start], stats)
+            child_at = rest_at[:]
+            child_live = refine(am, child, child_at, child_live, child_trace,
+                                [start], stats)
             here = version
             path.append(v)
-            resume = rec(child, child_at, child_trace, len(trace), tight, path)
+            resume = rec(child, child_at, child_live, child_trace, len(trace),
+                         tight, path)
             path.pop()
             if resume < depth:
                 stats.jumps += 1
@@ -419,7 +326,7 @@ def canonical_form(g: ColoredGraph,
         return depth
 
     try:
-        rec(cells0, at0, trace0, 0, True, [])
+        rec(cells0, at0, live0, trace0, 0, True, [])
     except _Stop:
         raise BudgetExceeded(stats) from None
     finally:

@@ -8,7 +8,7 @@ from unittest import mock
 
 import pytest
 
-from gqdesigns import canon
+from gqdesigns import _partition, canon
 from gqdesigns.canon import (
     BudgetExceeded,
     CanonStats,
@@ -21,10 +21,10 @@ from gqdesigns.canon import (
     gq_isomorphic,
     incidence_graph,
 )
-from gqdesigns.geometry import hermitian_gq, parabolic_gq, symplectic_gq
-from gqdesigns.search import Budget
-from gqdesigns.sprott import affine_plane, replicate, sprott_design
-from gqdesigns.structures import Design, IncidenceStructure, dual
+from gqdesigns.geometry import hermitian_gq, parabolic_gq, payne_derivation, symplectic_gq
+from gqdesigns.search import Budget, find_ovoids
+from gqdesigns.sprott import affine_plane, replicate, sprott_design, sprott_lrs
+from gqdesigns.structures import Design, IncidenceStructure, _bits, dual
 
 from conftest import child_env, fano_design, fano_incidence, grid_3x3
 
@@ -232,6 +232,28 @@ def test_frozen_relabeled_forms_and_counters():
     assert got == FROZEN_RELABELED_FORMS
 
 
+# the same for two larger graphs, of 784 and 512 vertices: a Payne
+# derivation, which searches more nodes than W(7), and Sprott's q = 8 design
+FROZEN_LARGE_FORMS = {
+    "P(W(7), 0)": ("3ddf2630618cd61ebb24eb2a2fefb6dd4dda90e4fe0ff589ffd8cacff960851b",
+                   (57, 9, 8, 1528, 13, 23711, 26979)),
+    "sprott_lrs(8)": ("858a87ed64e8f5ce4d26c2eed244c2bba6b16df2cfeccec86d85b1b99d38081d",
+                      (10, 4, 3, 127, 3, 706, 1862)),
+}
+
+
+def test_frozen_forms_of_larger_graphs():
+    graphs = {
+        "P(W(7), 0)": incidence_graph(payne_derivation(symplectic_gq(7), 0)),
+        "sprott_lrs(8)": design_graph(sprott_lrs(8)[0]),
+    }
+    got = {}
+    for name, g in graphs.items():
+        form = canonical_form(g)
+        got[name] = (form.digest, _counters(form.stats))
+    assert got == FROZEN_LARGE_FORMS
+
+
 def test_relabeled_w5_forms_agree_within_a_node_cap():
     # W(5) is a 312-vertex graph; a search over 200 nodes raises
     # BudgetExceeded
@@ -298,11 +320,42 @@ def test_forms_compare_without_their_counters(w2):
         hash(stats)
 
 
+def _mask_refine(g: ColoredGraph, cells, trace, work, stats):
+    """_partition.refine on cells, a map from start to ascending cell list, by
+    way of masks: cells is updated in place and the map from each vertex of
+    a non-singleton cell to its cell's start is returned."""
+    am = [sum(1 << w for w in a) for a in g.adj]
+    masks = {start: sum(1 << x for x in cell) for start, cell in cells.items()}
+    cell_at = [0] * g.n
+    for start, cell in cells.items():
+        for x in cell:
+            cell_at[x] = start
+    live = sum(mask for mask in masks.values() if mask & (mask - 1))
+    live = _partition.refine(am, masks, cell_at, live, trace, work, stats)
+    cells.clear()
+    cells.update((start, _bits(mask)) for start, mask in masks.items())
+    return {x: cell_at[x] for x in _bits(live)}
+
+
+def _multi_vertex_inputs():
+    """Graphs whose refinement runs many splitters of more than one vertex:
+    colors by multiplicity, colors by an ovoid (W(3), q odd, has none; Q(4,3)
+    is the GQ(3,3) that does), and a Payne derivation; with their point
+    counts."""
+    q43 = parabolic_gq(3)
+    ovoid = find_ovoids(q43, limit=1).solutions[0]
+    w4 = payne_derivation(symplectic_gq(4), 0)
+    return [(design_graph(replicate(affine_plane(3), 3)), 9),
+            (incidence_graph(q43, ovoid), q43.point_count),
+            (incidence_graph(w4), w4.point_count)]
+
+
 def test_refinement_is_equitable_and_refines_its_input():
     rng = random.Random(18)
     graphs = [_random_colored_graph(rng, rng.randrange(1, 16)) for _ in range(30)]
     graphs += [incidence_graph(symplectic_gq(2)), incidence_graph(symplectic_gq(3)),
                _torus_graph([(1, 0), (0, 1), (1, 1)])]
+    graphs += [g for g, _ in _multi_vertex_inputs()]
     for g in graphs:
         by_color = {}
         for v in range(g.n):
@@ -312,7 +365,7 @@ def test_refinement_is_equitable_and_refines_its_input():
         for cell in before:
             cells[start] = cell
             start += len(cell)
-        canon._refine(g.adj, cells, [], list(cells), CanonStats())
+        _mask_refine(g, cells, [], list(cells), CanonStats())
         _check_refinement(g, before, cells)
         # individualize one vertex of a non-singleton cell, as a search
         # node does, and refine from the singleton only
@@ -326,13 +379,13 @@ def test_refinement_is_equitable_and_refines_its_input():
         child = dict(cells)
         child[start], child[start + 1] = fresh
         before = [child[s] for s in sorted(child)]
-        canon._refine(g.adj, child, [], [start], CanonStats())
+        _mask_refine(g, child, [], [start], CanonStats())
         _check_refinement(g, before, child)
 
 
 def _reference_refine(adj, cells, trace, work, stats):
-    """canon._refine by its general rule alone: every splitter, one vertex
-    or more, splits by neighbor counts."""
+    """_partition.refine by its general rule alone: every splitter, one
+    vertex or more, splits by neighbor counts."""
     n = len(adj)
     cell_at = {x: start for start, cell in cells.items() if len(cell) > 1
                for x in cell}
@@ -373,12 +426,12 @@ def _reference_refine(adj, cells, trace, work, stats):
 
 
 def _refine_both_ways(g: ColoredGraph, cells, work):
-    """canon._refine and the reference on copies of cells; both must give
+    """_partition.refine and the reference on copies of cells; both must give
     the same cells, trace, cell map and counters.  Returns the cells."""
     got, want = dict(cells), dict(cells)
     got_trace, want_trace = [], []
     got_stats, want_stats = CanonStats(), CanonStats()
-    got_at = canon._refine(g.adj, got, got_trace, list(work), got_stats)
+    got_at = _mask_refine(g, got, got_trace, list(work), got_stats)
     want_at = _reference_refine(g.adj, want, want_trace, list(work), want_stats)
     assert got == want and got_trace == want_trace and got_at == want_at
     assert got_stats == want_stats
@@ -412,13 +465,13 @@ def test_one_vertex_splits_follow_the_counting_rule():
             for v in cells[big[0]]:
                 _refine_both_ways(g, _individualize(cells, big[0], v), [big[0]])
     w5 = _relabel_structure(symplectic_gq(5), random.Random(20))
-    for s in (symplectic_gq(3), w5):
-        g = incidence_graph(s)
+    inputs = [(incidence_graph(s), s.point_count) for s in (symplectic_gq(3), w5)]
+    for g, points in inputs + _multi_vertex_inputs():
         cells = _refine_both_ways(g, _colored_cells(g), list(_colored_cells(g)))
         # one point, then one line of the refined partition
         for lines in (False, True):
             start = min(start for start, cell in cells.items()
-                        if len(cell) > 1 and (cell[0] >= s.point_count) == lines)
+                        if len(cell) > 1 and (cell[0] >= points) == lines)
             cells = _refine_both_ways(
                 g, _individualize(cells, start, cells[start][0]), [start])
 

@@ -615,7 +615,7 @@ print(json.dumps([code, sorted(m for m in sys.modules
 
 FILES = {"fileformats", "structures"}
 SEARCH = FILES | {"search"}
-CANON = SEARCH | {"canon"}
+CANON = SEARCH | {"canon", "_partition"}
 MAPS = FILES | {"correspondence", "geometry", "field"}
 GEOMETRY = FILES | {"geometry", "field"}
 SPROTT = FILES | {"sprott", "field"}

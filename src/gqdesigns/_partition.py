@@ -8,14 +8,14 @@ II", J. Symb. Comput. 60, 2014).  Each cell lists its vertices in ascending
 order (color cells are built so, a split keeps its cell's order, and
 individualizing v puts [v] before the rest), so the mask loses nothing.
 Beside the map, live masks the vertices of non-singleton cells, and the
-list cell_at gives each of them its cell's start; a vertex that leaves live
-keeps a stale entry.  The graph enters as am, each vertex's neighbor mask.
+list cell_at gives each of them its cell's start (a vertex that leaves live
+keeps a stale entry).  The graph enters as am, ColoredGraph.adj itself.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
 
 from .structures import _bits
 
@@ -36,7 +36,7 @@ def _starts(cells: dict[int, int], cell_at: list[int], touched: int) -> list[int
     return out
 
 
-def refine(am: list[int], cells: dict[int, int], cell_at: list[int],
+def refine(am: Sequence[int], cells: dict[int, int], cell_at: list[int],
            live: int, trace: list[int], work, stats: CanonStats) -> int:
     """Split cells by neighbor counts into splitters, the cells whose starts
     work lists first, until the partition is equitable; returns the new live.
@@ -153,7 +153,7 @@ def refine(am: list[int], cells: dict[int, int], cell_at: list[int],
     return live
 
 
-def target(am: list[int], cells: dict[int, int], cell_at: list[int],
+def target(am: Sequence[int], cells: dict[int, int], cell_at: list[int],
            live: int) -> int:
     """Start of the first non-singleton cell joined non-trivially (some but
     not all members adjacent) to the most non-singleton cells; cell_at and

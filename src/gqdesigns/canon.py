@@ -36,12 +36,12 @@ map and the list.  Traces name cells by start; traces that agree so far
 describe the same partition, on which start grows with a cell's index, so
 they compare as they would with indices.
 
-Incidence structures and designs enter as colored bipartite graphs read
-straight off their rows (structures._points checks marked points);
-repeated blocks, the groups of Design.instances(), collapse to one vertex
-colored by their number, which keeps huge instance-permutation groups out
-of the search entirely.  build_graph checks the edges and colors a caller
-supplies.
+A graph's adj holds each vertex's neighbors as an int mask, as refinement
+reads them.  Structures and designs enter as colored bipartite graphs read
+off the structure's point_masks and line_masks (structures._points checks
+marked points); repeated blocks, the groups of Design.instances(), are one
+vertex colored by their number, which keeps huge instance-permutation
+groups out of the search.  build_graph checks a caller's edges and colors.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ from .structures import Design, IncidenceStructure, _bits, _is_int, _points
 
 class ColoredGraph(NamedTuple):
     n: int
-    adj: tuple[frozenset[int], ...]
+    adj: tuple[int, ...]  # each vertex's neighbor mask
     colors: tuple[tuple[int, int], ...]
 
 
@@ -127,7 +127,7 @@ class CanonicalForm(NamedTuple):
 
 def build_graph(n: int, edges: Iterable[tuple[int, int]],
                 colors: Iterable[tuple[int, int]]) -> ColoredGraph:
-    adj = [set() for _ in range(n)]
+    adj = [0] * n
     for u, w in edges:
         if not (_is_int(u) and _is_int(w)):
             raise ValueError(f"edge ({u!r}, {w!r}) has a vertex that is not an int")
@@ -135,8 +135,8 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]],
             raise ValueError("loops are not supported")
         if not (0 <= u < n and 0 <= w < n):
             raise ValueError(f"edge ({u}, {w}) has a vertex outside 0..{n - 1}")
-        adj[u].add(w)
-        adj[w].add(u)
+        adj[u] |= 1 << w
+        adj[w] |= 1 << u
     cols = tuple(colors)
     if len(cols) != n:
         raise ValueError("need one color per vertex")
@@ -147,20 +147,14 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]],
                 type(c) is int or type(c) is tuple and all(type(x) is int for x in c)):
             raise ValueError(f"vertex {v} has color {c!r}; colors must be all "
                              "ints or all tuples of ints")
-    return ColoredGraph(n, tuple(frozenset(a) for a in adj), cols)
+    return ColoredGraph(n, tuple(adj), cols)
 
 
-def _bipartite(v: int, rows, colors) -> ColoredGraph:
-    """Each point p in 0..v-1 joined to vertex v + j of every row j holding p.
-    Sets first: a frozenset copied from a set gets a table sized to fit, and
-    from a list up to half again as large.  Reading the rows caches nothing
-    on the structure, as its point_masks would."""
-    adj = [set() for _ in range(v)]
-    for j, row in enumerate(rows):
-        for p in row:
-            adj[p].add(v + j)
-    adj += map(set, rows)
-    return ColoredGraph(len(adj), tuple(map(frozenset, adj)), tuple(colors))
+def _bipartite(s: IncidenceStructure, colors) -> ColoredGraph:
+    """Points 0..v-1, line j as vertex v + j, read off s's mask tables."""
+    v = s.point_count
+    adj = tuple(m << v for m in s.point_masks) + s.line_masks
+    return ColoredGraph(len(adj), adj, tuple(colors))
 
 
 def incidence_graph(s: IncidenceStructure,
@@ -168,7 +162,7 @@ def incidence_graph(s: IncidenceStructure,
     """Bipartite point/line graph; an ovoid, if given, marks its points."""
     marked = _points(s, ovoid) if ovoid is not None else frozenset()
     colors = [(0, 1 if p in marked else 0) for p in range(s.point_count)]
-    return _bipartite(s.point_count, s.lines, colors + [(1, 0)] * len(s.lines))
+    return _bipartite(s, colors + [(1, 0)] * len(s.lines))
 
 
 def design_graph(d: Design) -> ColoredGraph:
@@ -180,7 +174,7 @@ def design_graph(d: Design) -> ColoredGraph:
     groups = d.instances()
     contents = sorted(groups)
     colors = [(0, 0)] * d.point_count + [(1, len(groups[c])) for c in contents]
-    return _bipartite(d.point_count, contents, colors)
+    return _bipartite(IncidenceStructure(d.point_count, contents), colors)
 
 
 def _leaf(adj, cells):
@@ -213,10 +207,10 @@ def canonical_form(g: ColoredGraph,
     from ._partition import refine, target
 
     n = g.n
-    adj = g.adj
+    am = g.adj
+    adj = [_bits(m) for m in am]  # neighbor lists for _leaf
     stats = CanonStats()
     meter = _Meter(budget, every=1)
-    am = [sum(1 << w for w in a) for a in adj]
     by_color: dict[tuple[int, int], int] = {}
     for vtx in range(n):
         by_color[g.colors[vtx]] = by_color.get(g.colors[vtx], 0) | 1 << vtx
@@ -364,7 +358,7 @@ def are_isomorphic(a: ColoredGraph, b: ColoredGraph,
     mapping = {ca.order[i]: cb.order[i] for i in range(a.n)}
     for v in range(a.n):
         if (a.colors[v] != b.colors[mapping[v]]
-                or {mapping[w] for w in a.adj[v]} != set(b.adj[mapping[v]])):
+                or sum(1 << mapping[w] for w in _bits(a.adj[v])) != b.adj[mapping[v]]):
             raise RuntimeError(f"canonical labelings disagree at vertex {v}")
     return True, mapping
 

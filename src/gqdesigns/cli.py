@@ -303,14 +303,19 @@ def cmd_roundtrip(args, rep: Report) -> int:
 def cmd_prop32(args, rep: Report) -> int:
     from .correspondence import check_regular_traces
     s = _load(args.incidence, parse_incidence, rep)
-    ovoids = [_load(path, parse_ovoid, rep) for path in args.ovoids]
-    code = 0
-    for i, ovoid in enumerate(ovoids):
-        key = f"ovoid{i}." if len(ovoids) > 1 else ""
+    ovoids = {path: _load(path, parse_ovoid, rep) for path in args.ovoids}
+    results = {}  # one check per distinct path, reported under each prefix
+    for path, ovoid in ovoids.items():
         try:
-            report = check_regular_traces(s, ovoid)
+            results[path] = check_regular_traces(s, ovoid)
         except ValueError as exc:
-            _report_failure(exc, rep, key)
+            results[path] = exc
+    code = 0
+    for i, path in enumerate(args.ovoids):
+        key = f"ovoid{i}." if len(args.ovoids) > 1 else ""
+        report = results[path]
+        if isinstance(report, ValueError):
+            _report_failure(report, rep, key)
             code = 1
             continue
         rep.add(key + "regular_traces", report.ok)

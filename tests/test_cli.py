@@ -3,10 +3,12 @@ import json
 import os
 import subprocess
 import sys
+from unittest import mock
 
 import pytest
 
-from gqdesigns.correspondence import design_from_ovoid
+from gqdesigns import cli
+from gqdesigns.correspondence import check_regular_traces, design_from_ovoid
 from gqdesigns.fileformats import (
     parse_design,
     parse_incidence,
@@ -166,6 +168,19 @@ def test_a_file_named_twice_is_reported_once(w2_file, tmp_path):
         keys = [row.partition(": ")[0] for row in proc.stdout.splitlines()]
         assert len(keys) == len(set(keys)), keys
         assert "input.w2.inc.sha256" in keys
+
+
+def test_prop32_checks_an_ovoid_named_twice_once(w2_file, tmp_path, monkeypatch, capsys):
+    run("ovoids", "w2.inc", "--limit", "1", "--out", "ov", cwd=tmp_path)
+    monkeypatch.chdir(tmp_path)
+    with mock.patch("gqdesigns.correspondence.check_regular_traces",
+                    wraps=check_regular_traces) as check:
+        code = cli.main(["prop32", "w2.inc", "ov0.ovoid", "ov0.ovoid"])
+    assert code == 1 and check.call_count == 1
+    rep = dict(row.split(": ", 1) for row in capsys.readouterr().out.splitlines())
+    assert rep["ovoid0.regular_traces"] == rep["ovoid1.regular_traces"] == "false"
+    for key in ("witnesses", "blocks_replicated", "blocks_are_traces"):
+        assert rep[f"ovoid0.{key}"] == rep[f"ovoid1.{key}"]
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="no /dev/stdin")

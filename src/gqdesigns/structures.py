@@ -18,25 +18,25 @@ The verifiers decide on bitmasks.  verify_gq counts.  |x^perp| - 1 is at
 most the sum of |L| - 1 over the lines L through x, with equality exactly
 when no point shares two lines with x; summed over x, axiom 1 holds exactly
 when the sum of |x^perp| - 1 equals the sum of |L|(|L| - 1) over all lines.
-A triangle-free partial linear space of order (s,t) has at least (s+1)(st+1)
-points, with equality exactly when it is a GQ (Payne & Thas, Finite
-Generalized Quadrangles, 1.2).
-So axiom 3 holds exactly when there are (s+1)(st+1) points and each collinear
-pair has s - 1 common neighbours, none off its line L: the masks x^perp & ~L,
-x on L, are pairwise disjoint.  verify_non_triangular runs verify_lrs
-first, so each class less its point partitions the other points and two
-co-class instances share exactly their class point.  It keeps co[b], the
-instances co-class with b.  A triangle's three points are then all equal or
-all distinct, and the LRS is non-triangular exactly when the masks
-co[b] & ~M, b in M, are pairwise disjoint for every class M.  Only when a
-test fails does a verifier load _witness, whose scans name the witness in
-the order always reported.
+A triangle-free partial linear space of order (s,t) has at least
+v = (s+1)(st+1) points, with equality exactly when it is a GQ (Payne &
+Thas, Finite Generalized Quadrangles, 1.2).  So axiom 3 holds exactly when
+there are v points and, on each line L, the sets x^perp & ~L, x on L (st
+points each by axiom 1, v - (s+1) in all), are disjoint: when the x^perp,
+x on L, cover every point.  verify_non_triangular runs verify_lrs first, so
+each class less its point partitions the rest and an instance's k classes
+meet only in it.  With co[b] the instances co-class with b, a triangle's
+points are all equal or all distinct, and the LRS is non-triangular exactly
+when, in each class M of m instances, the sets co[b] & ~M ((k-1)(m-1)
+instances each) are disjoint: when the co[b], b in M, cover m(1+(k-1)(m-1)).
+Only when a test fails does a verifier load _witness, whose scans name the
+witness in the order always reported.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Iterable, NamedTuple, Optional
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 
 class VerificationError(ValueError):
@@ -259,13 +259,11 @@ def _points(s: IncidenceStructure, points: Iterable[int]) -> frozenset[int]:
     return pts
 
 
-def _disjoint(masks: Iterable[int]) -> bool:
-    seen = 0
-    for m in masks:
-        if seen & m:
-            return False
-        seen |= m
-    return True
+def _union(table: Sequence[int], indices: Iterable[int]) -> int:
+    u = 0
+    for i in indices:
+        u |= table[i]
+    return u
 
 
 def verify_gq(s: IncidenceStructure) -> GQParams:
@@ -305,8 +303,10 @@ def verify_gq(s: IncidenceStructure) -> GQParams:
     # two lines sharing two points would repeat a point pair, so the line-pair
     # half of the axiom is already covered by the test above
 
-    if s.point_count != (order_s + 1) * (order_s * order_t + 1) or not all(
-            _disjoint(perps[x] & ~m for x in line) for line, m in zip(lines, s.line_masks)):
+    # axiom 3 by the union per line in the module docstring
+    full = (1 << s.point_count) - 1
+    if s.point_count != (order_s + 1) * (order_s * order_t + 1) or any(
+            _union(perps, line) != full for line in lines):
         from ._witness import axiom3_scan
         axiom3_scan(s)
 
@@ -367,12 +367,8 @@ def verify_ovoid(s: IncidenceStructure, ovoid: Iterable[int]) -> None:
     """
     params = verify_gq(s)
     pts = _points(s, ovoid)
-    by_point = s.point_masks
-    met = 0
-    for p in pts:
-        met |= by_point[p]
     size = 1 + params.s * params.t
-    if len(pts) != size or met != (1 << len(s.lines)) - 1:
+    if len(pts) != size or _union(s.point_masks, pts) != (1 << len(s.lines)) - 1:
         for j, line in enumerate(s.lines):
             hits = len(pts.intersection(line))
             if hits != 1:
@@ -427,14 +423,12 @@ def verify_non_triangular(d: Design, system: LocalResolutionSystem) -> Optional[
     """Check a non-triangular local resolution system against its design.
 
     Runs verify_lrs first, so a system that is no LRS raises its LrsError.
-    Then searches for a triangle of pairwise co-class instances about three
-    distinct points: returns None when every such triangle closes about a
-    single point (the non-triangular condition), otherwise the first
-    offending witness.
+    Returns None when every triangle of pairwise co-class instances closes
+    about one point, by the union counts of the module docstring, otherwise
+    the first triangle about three distinct points.
     """
     verify_lrs(d, system)
     co = [0] * len(d.blocks)
-    members: list[tuple[frozenset[int], int]] = []
     for classes in system.classes:
         for cls in classes:
             cmask = 0
@@ -442,8 +436,10 @@ def verify_non_triangular(d: Design, system: LocalResolutionSystem) -> Optional[
                 cmask |= 1 << idx
             for idx in cls:
                 co[idx] |= cmask
-            members.append((cls, cmask))
-    if all(_disjoint(co[idx] & ~cmask for idx in cls) for cls, cmask in members):
+    # the union count per class in the module docstring
+    k1 = len(d.blocks[0]) - 1 if d.blocks else 0
+    if all(_union(co, cls).bit_count() == len(cls) * (1 + k1 * (len(cls) - 1))
+           for classes in system.classes for cls in classes):
         return None
     from ._witness import triangle_scan
     return triangle_scan(d, system)

@@ -5,7 +5,7 @@ import pytest
 
 from gqdesigns import _witness
 from gqdesigns.canon import gq_isomorphic, incidence_graph
-from gqdesigns.correspondence import design_from_ovoid
+from gqdesigns.correspondence import design_from_ovoid, gq_from_design
 from gqdesigns.geometry import (
     hermitian_gq,
     parabolic_gq,
@@ -830,9 +830,11 @@ def test_gq_verifier_matches_the_scans():
                 got = _outcome(verify_gq, _fresh(u))
                 assert got == _outcome(_reference_verify_gq, _fresh(u))
                 outcomes.add(got[2]["axiom"] if len(got) == 3 else 0)
-    # a point on one line only, and lines of one point each
+    # a point on one line only, lines of one point each, and the cyclic (15_3)
+    # configuration, which passes every count and fails only a line's union
     for u in [IncidenceStructure(2, [[0, 1]]),
-              IncidenceStructure(3, [[0], [1], [2], [0], [1], [2]])]:
+              IncidenceStructure(3, [[0], [1], [2], [0], [1], [2]]),
+              IncidenceStructure(15, [(i, (i + 1) % 15, (i + 4) % 15) for i in range(15)])]:
         assert _outcome(verify_gq, u) == _outcome(_reference_verify_gq, _fresh(u))
     # some structures pass, and each axiom fails on some others
     assert outcomes == {0, 1, 2, 3}
@@ -868,6 +870,12 @@ def test_design_verifiers_match_the_scans():
     overlap = LocalResolutionSystem([[[0, 1]], [[0]], [[1]], [[2]]])
     assert _outcome(verify_non_triangular, d, overlap) \
         == _outcome(_reference_verify_ntlrs, d, overlap)
+    # no blocks (no class to read a block size from), and one point on one block
+    for d, sysm in [(Design(3, []), LocalResolutionSystem([[], [], []])),
+                    (Design(1, [[0]]), LocalResolutionSystem([[[0]]]))]:
+        assert _outcome(verify_lrs, d, sysm) == _outcome(_reference_verify_lrs, d, sysm) is None
+        assert _outcome(verify_non_triangular, d, sysm) \
+            == _outcome(_reference_verify_ntlrs, d, sysm) is None
     # the damage reached valid and broken systems, triangles and co-class errors
     assert {(True, type(None)), (True, TriangleWitness), (False, tuple)} <= outcomes
 
@@ -883,6 +891,11 @@ def test_fallback_scans_run_only_on_failure(monkeypatch):
         verify_bibd(d)
         verify_lrs(d, system)
         assert verify_non_triangular(d, system) is None
+        # the map verifies its GQ and ovoid: GQ(3,5), GQ(7,9) and the ovoid designs' GQs
+        gq_from_design(d, system)
+    d, system = sprott_lrs(16)
+    assert verify_non_triangular(d, system) is None
+    assert verify_gq(gq_from_design(d, system).structure) == GQParams(15, 17)
 
 
 def test_triangle_scan_raises_when_it_finds_no_triangle(sprott4):
